@@ -109,7 +109,7 @@ std::map<int, double> ErrorsByTemplate(const std::vector<int>& template_ids,
 }
 
 void PrintTemplateErrors(const std::string& title,
-                         const std::map<int, double>& errors) {
+                         const std::map<int, double>& errors, size_t failed) {
   std::printf("%s\n", title.c_str());
   std::printf("  %-8s %s\n", "template", "rel_error(%)");
   double total = 0;
@@ -121,6 +121,7 @@ void PrintTemplateErrors(const std::string& title,
     std::printf("  %-8s %.1f\n", "mean",
                 100.0 * total / static_cast<double>(errors.size()));
   }
+  if (failed > 0) std::printf("  %-8s %zu queries\n", "failed", failed);
 }
 
 CvPredictions CrossValidatedPredictions(const QueryLog& log,
@@ -132,7 +133,7 @@ CvPredictions CrossValidatedPredictions(const QueryLog& log,
   const auto fold_set = StratifiedKFold(strata, folds, &rng);
   // Folds train and predict independently; per-fold outputs are concatenated
   // in fold order afterwards so the result matches a serial run exactly.
-  std::vector<std::vector<double>> fold_pred(fold_set.size());
+  std::vector<std::vector<Result<double>>> fold_pred(fold_set.size());
   Status st = ThreadPool::Global()->ParallelFor(fold_set.size(), [&](size_t f) {
     const Fold& fold = fold_set[f];
     QueryLog train;
@@ -141,8 +142,7 @@ CvPredictions CrossValidatedPredictions(const QueryLog& log,
     QPP_RETURN_NOT_OK(predictor.Train(train));
     fold_pred[f].reserve(fold.test.size());
     for (size_t i : fold.test) {
-      auto r = predictor.PredictLatencyMs(log.queries[i]);
-      fold_pred[f].push_back(r.ok() ? *r : 0.0);
+      fold_pred[f].push_back(predictor.PredictLatencyMs(log.queries[i]));
     }
     return Status::OK();
   });
@@ -154,10 +154,15 @@ CvPredictions CrossValidatedPredictions(const QueryLog& log,
   for (size_t f = 0; f < fold_set.size(); ++f) {
     const Fold& fold = fold_set[f];
     for (size_t t = 0; t < fold.test.size(); ++t) {
+      const Result<double>& predicted = fold_pred[f][t];
+      if (!predicted.ok()) {
+        ++out.failed;
+        continue;
+      }
       const size_t i = fold.test[t];
       out.template_ids.push_back(log.queries[i].template_id);
       out.actual.push_back(log.queries[i].latency_ms);
-      out.predicted.push_back(fold_pred[f][t]);
+      out.predicted.push_back(*predicted);
     }
   }
   return out;

@@ -44,16 +44,21 @@ std::map<int, double> ErrorsByTemplate(const std::vector<int>& template_ids,
                                        const std::vector<double>& predicted);
 
 /// Prints "tmpl err%" rows plus the mean, in the style of the paper's
-/// per-template bar charts.
+/// per-template bar charts, and a "failed" row when `failed` predictions
+/// were left out of the errors.
 void PrintTemplateErrors(const std::string& title,
-                         const std::map<int, double>& errors);
+                         const std::map<int, double>& errors,
+                         size_t failed = 0);
 
 /// Cross-validated per-query predictions of one method over a log
 /// (stratified by template, like the paper's Section 5.1 protocol).
+/// Queries whose prediction failed are counted in `failed` and left out of
+/// the aligned vectors, never scored as a 0 ms prediction.
 struct CvPredictions {
   std::vector<int> template_ids;
   std::vector<double> actual;
   std::vector<double> predicted;
+  size_t failed = 0;
 };
 CvPredictions CrossValidatedPredictions(const QueryLog& log,
                                         PredictorConfig config, int folds = 5,

@@ -42,11 +42,15 @@ int main() {
               100.0 * MaxRelativeError(cv.actual, cv.predicted));
   std::printf("  predictive risk      %.2f\n",
               PredictiveRisk(cv.actual, cv.predicted));
+  if (cv.failed > 0) {
+    std::printf("  failed predictions   %zu (left out above)\n", cv.failed);
+  }
   std::printf(
       "\nPaper (10GB PostgreSQL): min 30%%, mean 120%%, max 1744%%, "
       "predictive risk ~0.93.\nExpected shape: high relative errors despite "
       "a deceptively high predictive risk.\n");
   PrintTemplateErrors("\nPer-template relative error of the cost baseline:",
-                      ErrorsByTemplate(cv.template_ids, cv.actual, cv.predicted));
+                      ErrorsByTemplate(cv.template_ids, cv.actual, cv.predicted),
+                      cv.failed);
   return 0;
 }

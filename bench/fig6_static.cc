@@ -27,7 +27,8 @@ void RunForDatabase(const std::string& label, double sf) {
     PrintTemplateErrors(
         "\nFig 6(" + std::string(label == "large" ? "a" : "c") +
             ") plan-level errors by template (" + label + " DB):",
-        ErrorsByTemplate(cv.template_ids, cv.actual, cv.predicted));
+        ErrorsByTemplate(cv.template_ids, cv.actual, cv.predicted),
+        cv.failed);
     if (label == "large") {
       std::printf("\nFig 6(b) true vs estimate (first query per template):\n");
       std::printf("  %-8s %-12s %s\n", "template", "actual_ms", "predicted_ms");
@@ -51,7 +52,8 @@ void RunForDatabase(const std::string& label, double sf) {
     PrintTemplateErrors(
         "\nFig 6(" + std::string(label == "large" ? "d" : "f") +
             ") operator-level errors by template (" + label + " DB):",
-        ErrorsByTemplate(cv.template_ids, cv.actual, cv.predicted));
+        ErrorsByTemplate(cv.template_ids, cv.actual, cv.predicted),
+        cv.failed);
   }
 }
 

@@ -65,8 +65,9 @@ void BM_ServicePredict(benchmark::State& state) {
 }
 BENCHMARK(BM_ServicePredict)->Threads(1)->Threads(4);
 
-// Raw registry snapshot acquisition — the constant overhead the RCU design
-// adds to every request relative to calling the predictor directly.
+// Raw registry snapshot acquisition — the constant overhead snapshot
+// publication (common/published.h) adds to every request relative to
+// calling the predictor directly.
 void BM_RegistrySnapshot(benchmark::State& state) {
   Fixture& f = SharedFixture();
   for (auto _ : state) {

@@ -15,10 +15,12 @@ justification.  Three shapes are flagged:
     loads in disguise.
 
 RCU publication subrule (rule `rcu-publication`, whole src/ tree):
-std::atomic<T*> members are snapshot-publication pointers in this
-codebase (serve::ModelRegistry, card::CardFeedbackLoop).  Their stores
-must be memory_order_release, loads memory_order_acquire, exchanges
-memory_order_acq_rel, and operator/implicit forms are always wrong.
+snapshots are published through qpp::Published<T>
+(src/common/published.h), which needs no atomic pointer, so any
+std::atomic<T*> is treated as a hand-rolled publication pointer.  Its
+stores must be memory_order_release, loads memory_order_acquire,
+exchanges memory_order_acq_rel, and operator/implicit forms are always
+wrong.
 """
 
 from __future__ import annotations

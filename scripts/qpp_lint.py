@@ -8,7 +8,8 @@ knowledge rather than language knowledge:
   atomic-shared-ptr   std::atomic<std::shared_ptr<T>> is forbidden.  The
                       libstdc++ 12 free-function implementation is
                       TSan-dirty (see DESIGN.md, "Hot-swap registry");
-                      use an atomic raw pointer into retained storage.
+                      publish through qpp::Published<T>
+                      (src/common/published.h).
   submit-under-lock   ThreadPool::Submit / ParallelFor must not be called
                       while a lock guard is alive in an enclosing scope.
                       The pool executes inline when saturated (or when
@@ -32,13 +33,17 @@ knowledge rather than language knowledge:
   naked-new           Raw new/delete/malloc/free are forbidden outside
                       src/storage (the only layer that manages raw
                       memory).  Use std::make_unique / containers.
-  net-unbounded-queue In src/net/ every push onto a member container
-                      (trailing-underscore name) must be dominated by a
-                      capacity check -- a comparison against a max/
-                      capacity bound within the preceding 30 lines --
-                      because an unbounded queue fed by the network is a
-                      memory-exhaustion DoS.  Bounded-by-construction
-                      queues carry an allow() naming the bound.
+  unbounded-member-push
+                      In src/net/, src/card/ and src/kde/ every push onto
+                      a member container (trailing-underscore name) must
+                      be dominated by a capacity check -- a comparison
+                      against a max/capacity bound within the preceding
+                      30 lines.  Those containers are fed by network
+                      peers (an unbounded queue is a memory-exhaustion
+                      DoS), by one observation per executed operator, or
+                      by sampled rows, so an unbounded one grows with
+                      traffic or process lifetime.  Containers bounded by
+                      construction carry an allow() naming the bound.
   net-blocking-reactor
                       src/net/server* is the epoll reactor thread: it
                       may block only in epoll_wait.  Sleeps are
@@ -57,25 +62,6 @@ knowledge rather than language knowledge:
                       load, on the largest responses -- exactly when it
                       hurts most.  Pass-through wrappers carry an
                       allow() naming where the bound lives.
-  card-unbounded-cache
-                      In src/card/ every push onto a member container
-                      (trailing-underscore name) must be dominated by a
-                      capacity/eviction check within the preceding 30
-                      lines: the learned cache ingests one observation
-                      per executed operator forever, so an unbounded
-                      container grows with workload lifetime.  Containers
-                      bounded elsewhere carry an allow() naming the
-                      bound.
-  kde-unbounded-sample
-                      In src/kde/ every push onto a member container
-                      (trailing-underscore name) must be dominated by a
-                      capacity/reservoir-bound check within the preceding
-                      30 lines: the KDE backend's contract is bounded
-                      state (a `capacity`-row reservoir per table), and a
-                      member container growing per sampled row or per
-                      harvested observation silently breaks it.
-                      Containers bounded elsewhere carry an allow()
-                      naming the bound.
 
 Suppression: a finding on line N is suppressed by a comment on line N or
 line N-1 of the form
@@ -158,8 +144,7 @@ def rule_atomic_shared_ptr(path, raw, code):
         out.append(Violation(
             path, _line_of(code, m.start()), "atomic-shared-ptr",
             "std::atomic<std::shared_ptr> is TSan-dirty on libstdc++ 12; "
-            "use an atomic raw pointer into retained storage "
-            "(see src/serve/registry.h)"))
+            "publish through qpp::Published<T> (src/common/published.h)"))
     return out
 
 
@@ -295,17 +280,18 @@ def rule_naked_new(path, raw, code):
     return out
 
 
-# --- src/net rules -------------------------------------------------------
-# The serving reactor has invariants of its own: queues fed by untrusted
-# network peers must be visibly bounded, and the single reactor thread must
-# never block outside epoll_wait.
+# --- bounded member containers --------------------------------------------
+# src/net queues are fed by untrusted network peers, the src/card cache by
+# one observation per executed operator, the src/kde models by sampled rows
+# and harvested observations: a member container there with no visible
+# bound grows with traffic or process lifetime.
 
-NET_PREFIX = "src/net/"
-NET_REACTOR_PREFIX = "src/net/server"
+MEMBER_PUSH_PREFIXES = ("src/net/", "src/card/", "src/kde/")
 
-# How far back a capacity check may sit from the push it dominates.  The
-# admission gate in server.cc HandleFrame is ~22 lines above its push.
-NET_CAPACITY_WINDOW_LINES = 30
+# How far back a capacity check may sit from the push (or syscall) it
+# dominates.  The admission gate in server.cc HandleFrame is ~22 lines
+# above its push.
+CAPACITY_WINDOW_LINES = 30
 
 MEMBER_PUSH_RE = re.compile(
     r"\b(\w+_)\s*\.\s*(?:push_back|emplace_back|push_front|push)\s*\(")
@@ -314,109 +300,39 @@ COMPARISON_RE = re.compile(r"(?<![-<>])[<>]=?(?![<>])")
 CAPACITY_TOKEN_RE = re.compile(r"\bk?[Mm]ax\w*|\bcapacity\b")
 
 
-def rule_net_unbounded_queue(path, raw, code):
-    """A push onto a long-lived (member) container in src/net/ is a DoS
-    vector unless a capacity comparison dominates it.  Heuristic: some
-    line within the preceding window must compare against a max/capacity
-    bound.  Queues bounded by construction (e.g. one entry per admitted
-    request) carry an allow() naming the bound."""
+def rule_unbounded_member_push(path, raw, code):
+    """A push onto a long-lived (member) container is unbounded growth
+    unless a capacity comparison dominates it.  Heuristic: some line
+    within the preceding window must compare against a max/capacity
+    bound.  Containers bounded by construction (e.g. one entry per
+    admitted request) carry an allow() naming the bound."""
     del raw
-    if not path.startswith(NET_PREFIX):
+    if not path.startswith(MEMBER_PUSH_PREFIXES):
         return []
     lines = code.splitlines()
     out = []
     for m in MEMBER_PUSH_RE.finditer(code):
         line = _line_of(code, m.start())
-        lo = max(0, line - 1 - NET_CAPACITY_WINDOW_LINES)
+        lo = max(0, line - 1 - CAPACITY_WINDOW_LINES)
         window = lines[lo:line]  # includes the push line itself
         if any(COMPARISON_RE.search(ln) and CAPACITY_TOKEN_RE.search(ln)
                for ln in window):
             continue
         out.append(Violation(
-            path, line, "net-unbounded-queue",
-            f"member queue '{m.group(1)}' grows with no capacity check in "
-            f"the preceding {NET_CAPACITY_WINDOW_LINES} lines; every "
-            "long-lived queue in src/net must be bounded (admission caps, "
-            "see server.cc HandleFrame) or carry an allow() naming the "
-            "bound"))
+            path, line, "unbounded-member-push",
+            f"member container '{m.group(1)}' grows with no capacity check "
+            f"in the preceding {CAPACITY_WINDOW_LINES} lines; bound it "
+            "(admission caps, LRU eviction, reservoir capacity) or carry an "
+            "allow() naming the bound"))
     return out
 
 
-# --- src/card rules ------------------------------------------------------
-# The learned-cardinality cache ingests one observation per executed
-# operator, for as long as the process serves queries; any member container
-# without visible eviction grows with workload lifetime.
+# --- src/net rules -------------------------------------------------------
+# The serving reactor must never block outside epoll_wait, and its gather
+# writes must stay under the kernel's iovec limit.
 
-CARD_PREFIX = "src/card/"
-
-
-def rule_card_unbounded_cache(path, raw, code):
-    """A push onto a long-lived (member) container in src/card/ grows per
-    harvested observation unless a capacity/eviction comparison dominates
-    it.  Same heuristic and window as net-unbounded-queue: some line in
-    the preceding window must compare against a max/capacity bound.
-    Containers bounded elsewhere (e.g. snapshot history bounded by
-    publish cadence) carry an allow() naming the bound."""
-    del raw
-    if not path.startswith(CARD_PREFIX):
-        return []
-    lines = code.splitlines()
-    out = []
-    for m in MEMBER_PUSH_RE.finditer(code):
-        line = _line_of(code, m.start())
-        lo = max(0, line - 1 - NET_CAPACITY_WINDOW_LINES)
-        window = lines[lo:line]  # includes the push line itself
-        if any(COMPARISON_RE.search(ln) and CAPACITY_TOKEN_RE.search(ln)
-               for ln in window):
-            continue
-        out.append(Violation(
-            path, line, "card-unbounded-cache",
-            f"member container '{m.group(1)}' grows per harvested "
-            "observation with no capacity/eviction check in the preceding "
-            f"{NET_CAPACITY_WINDOW_LINES} lines; every long-lived container "
-            "in src/card must be bounded (LRU eviction, bounded windows) or "
-            "carry an allow() naming the bound"))
-    return out
-
-
-# --- src/kde rules -------------------------------------------------------
-# The KDE backend's whole value proposition is bounded state: a reservoir
-# of `capacity` rows per table, no matter how large the table or how long
-# the feedback loop runs.  A member container that grows without a visible
-# reservoir/capacity bound silently breaks that contract.
-
-KDE_PREFIX = "src/kde/"
-
-
-def rule_kde_unbounded_sample(path, raw, code):
-    """A push onto a long-lived (member) container in src/kde/ grows per
-    sampled row or harvested observation unless a capacity/reservoir-bound
-    comparison dominates it.  Same heuristic and window as
-    card-unbounded-cache: some line in the preceding window must compare
-    against a max/capacity bound.  Containers bounded elsewhere (e.g.
-    snapshot history bounded by publish cadence) carry an allow() naming
-    the bound."""
-    del raw
-    if not path.startswith(KDE_PREFIX):
-        return []
-    lines = code.splitlines()
-    out = []
-    for m in MEMBER_PUSH_RE.finditer(code):
-        line = _line_of(code, m.start())
-        lo = max(0, line - 1 - NET_CAPACITY_WINDOW_LINES)
-        window = lines[lo:line]  # includes the push line itself
-        if any(COMPARISON_RE.search(ln) and CAPACITY_TOKEN_RE.search(ln)
-               for ln in window):
-            continue
-        out.append(Violation(
-            path, line, "kde-unbounded-sample",
-            f"member container '{m.group(1)}' grows with no "
-            "capacity/reservoir-bound check in the preceding "
-            f"{NET_CAPACITY_WINDOW_LINES} lines; the KDE backend promises "
-            "bounded state (reservoir capacity, publish cadence) -- bound "
-            "the push or carry an allow() naming the bound"))
-    return out
-
+NET_PREFIX = "src/net/"
+NET_REACTOR_PREFIX = "src/net/server"
 
 # Scatter-gather syscalls pin an iovec array per call; the kernel fails
 # iovcnt > IOV_MAX with EINVAL, and an unbounded gather loop discovers that
@@ -442,7 +358,7 @@ def rule_net_unbounded_iovec(path, raw, code):
     out = []
     for m in IOVEC_CALL_RE.finditer(code):
         line = _line_of(code, m.start())
-        lo = max(0, line - 1 - NET_CAPACITY_WINDOW_LINES)
+        lo = max(0, line - 1 - CAPACITY_WINDOW_LINES)
         window = lines[lo:line]  # includes the call line itself
         if any(IOVEC_BOUND_RE.search(ln) and
                (COMPARISON_RE.search(ln) or MIN_CLAMP_RE.search(ln))
@@ -451,7 +367,7 @@ def rule_net_unbounded_iovec(path, raw, code):
         out.append(Violation(
             path, line, "net-unbounded-iovec",
             f"{m.group(1)}() with no iovec-count bound in the preceding "
-            f"{NET_CAPACITY_WINDOW_LINES} lines; cap the gather width "
+            f"{CAPACITY_WINDOW_LINES} lines; cap the gather width "
             "against a named limit (kMaxFlushIov / kClientMaxIov / "
             "IOV_MAX) or carry an allow() naming where the bound lives"))
     return out
@@ -519,11 +435,9 @@ RULES = {
     "nondeterministic-source": rule_nondeterministic_source,
     "float-precision": rule_float_precision,
     "naked-new": rule_naked_new,
-    "net-unbounded-queue": rule_net_unbounded_queue,
+    "unbounded-member-push": rule_unbounded_member_push,
     "net-blocking-reactor": rule_net_blocking_reactor,
     "net-unbounded-iovec": rule_net_unbounded_iovec,
-    "card-unbounded-cache": rule_card_unbounded_cache,
-    "kde-unbounded-sample": rule_kde_unbounded_sample,
 }
 
 

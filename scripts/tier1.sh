@@ -32,8 +32,8 @@ done
 
 # Repo-invariant linter first: it is fast and catches policy violations
 # (atomic<shared_ptr>, submit-under-lock, unseeded RNG, lossy float
-# serialization, naked new, unbounded net queues, blocking calls on the
-# reactor thread) before a long compile. clang-tidy runs too when
+# serialization, naked new, unbounded member containers, blocking calls on
+# the reactor thread) before a long compile. clang-tidy runs too when
 # the binary exists; scripts/lint.sh degrades gracefully when it does not.
 if [[ $RUN_LINT -eq 1 ]]; then
   scripts/lint.sh
@@ -64,7 +64,8 @@ if [[ $RUN_ASAN_UBSAN -eq 1 ]]; then
   (cd build-asan && ctest --output-on-failure -j"$JOBS")
 fi
 
-# TSan pass: the thread-pool/CV determinism tests, the ML suite that drives
+# TSan pass: the common suite (Published<T> readers racing publishers), the
+# thread-pool/CV determinism tests, the ML suite that drives
 # the parallel training paths, the serving suite (registry hot-swap under
 # concurrent Predict load, feedback-loop retrains), the obs suite (the
 # lock-free metrics registry under multi-threaded update load), and the net
@@ -76,7 +77,8 @@ fi
 # machines.
 if [[ $RUN_TSAN -eq 1 ]]; then
   cmake -B build-tsan -S . -DQPP_SANITIZE=thread >/dev/null
-  cmake --build build-tsan -j"$JOBS" --target concurrency_test ml_test serve_test obs_test net_test card_test kde_test
+  cmake --build build-tsan -j"$JOBS" --target common_test concurrency_test ml_test serve_test obs_test net_test card_test kde_test
+  QPP_THREADS=4 ./build-tsan/tests/common_test
   QPP_THREADS=4 ./build-tsan/tests/concurrency_test
   QPP_THREADS=4 ./build-tsan/tests/ml_test
   QPP_THREADS=4 ./build-tsan/tests/serve_test

@@ -6,13 +6,14 @@
 #include <sstream>
 #include <utility>
 
+#include "common/bundle.h"
 #include "common/checksum.h"
 #include "obs/metrics.h"
 
 namespace qpp::card {
 namespace {
 
-constexpr char kCacheMagic[] = "qpp-card-cache v1";
+constexpr BundleFormat kCacheFormat{"qpp-card-cache v1", "card cache bundle"};
 constexpr char kLogHeader[] = "# qpp card feedback v1";
 
 /// Squared L2 distance in log1p feature space.
@@ -78,42 +79,6 @@ double MeanQErrorLocked(const std::deque<double>& window) {
   double sum = 0.0;
   for (double q : window) sum += q;
   return sum / static_cast<double>(window.size());
-}
-
-std::vector<std::string> SplitPipe(const std::string& line) {
-  std::vector<std::string> fields;
-  size_t start = 0;
-  while (true) {
-    const size_t bar = line.find('|', start);
-    if (bar == std::string::npos) {
-      fields.push_back(line.substr(start));
-      break;
-    }
-    fields.push_back(line.substr(start, bar - start));
-    start = bar + 1;
-  }
-  return fields;
-}
-
-Result<double> ParseDouble(const std::string& s, const char* what) {
-  try {
-    size_t pos = 0;
-    const double v = std::stod(s, &pos);
-    if (pos != s.size()) {
-      return Status::IOError(std::string("trailing garbage in ") + what +
-                             " '" + s + "'");
-    }
-    return v;
-  } catch (const std::exception&) {
-    return Status::IOError(std::string("bad ") + what + " '" + s + "'");
-  }
-}
-
-void AppendDouble(std::ostringstream* out, double v) {
-  // precision 17: shortest round-trippable decimal for IEEE double, the
-  // repo-wide convention for persisted floats (see scripts/qpp_lint.py).
-  out->precision(17);
-  *out << v;
 }
 
 }  // namespace
@@ -313,9 +278,8 @@ std::shared_ptr<const CardSnapshot> LearnedCardinalityCache::MakeSnapshot(
             [](const CardSnapshot::Entry& a, const CardSnapshot::Entry& b) {
               return a.signature < b.signature;
             });
-  // Non-const make_shared so enable_shared_from_this wiring is guaranteed;
-  // the returned pointer is const, and nothing mutates a snapshot.
-  return std::make_shared<CardSnapshot>(version, config_, std::move(entries));
+  return std::make_shared<const CardSnapshot>(version, config_,
+                                              std::move(entries));
 }
 
 Status LearnedCardinalityCache::SaveToFile(const std::string& path) const {
@@ -345,56 +309,17 @@ Status LearnedCardinalityCache::SaveToFile(const std::string& path) const {
       }
     }
   }
-  const std::string text = payload.str();
-  std::ofstream out(path, std::ios::binary);
-  if (!out.is_open()) return Status::IOError("cannot open " + path);
-  out << kCacheMagic << "\n";
-  out << "bytes " << text.size() << "\n";
-  out << "checksum " << ChecksumHex(Fnv1a64(text)) << "\n";
-  out << text;
-  if (!out.good()) return Status::IOError("write failed: " + path);
-  return Status::OK();
+  return WriteBundle(path, kCacheFormat, payload.str());
 }
 
 Result<std::unique_ptr<LearnedCardinalityCache>>
 LearnedCardinalityCache::LoadFromFile(const std::string& path,
                                       CardCacheConfig config) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in.is_open()) return Status::IOError("cannot open " + path);
-  std::string line;
-  if (!std::getline(in, line) || line != kCacheMagic) {
-    return Status::IOError(path + ": not a qpp card cache bundle");
-  }
-  if (!std::getline(in, line) || line.rfind("bytes ", 0) != 0) {
-    return Status::IOError(path + ": missing bytes header");
-  }
-  size_t payload_bytes = 0;
-  try {
-    payload_bytes = std::stoul(line.substr(6));
-  } catch (const std::exception&) {
-    return Status::IOError(path + ": bad bytes header '" + line + "'");
-  }
-  if (!std::getline(in, line) || line.rfind("checksum ", 0) != 0) {
-    return Status::IOError(path + ": missing checksum header");
-  }
-  auto checksum = ParseChecksumHex(line.substr(9));
-  if (!checksum.ok()) {
-    return Status::IOError(path + ": " + checksum.status().message());
-  }
-  std::string payload(payload_bytes, '\0');
-  in.read(payload.data(), static_cast<std::streamsize>(payload_bytes));
-  if (static_cast<size_t>(in.gcount()) != payload_bytes) {
-    return Status::IOError(path + ": truncated payload");
-  }
-  const uint64_t actual = Fnv1a64(payload);
-  if (actual != *checksum) {
-    return Status::IOError(path + ": checksum mismatch (header " +
-                           ChecksumHex(*checksum) + ", payload " +
-                           ChecksumHex(actual) + ") — corrupt bundle");
-  }
-
+  QPP_ASSIGN_OR_RETURN(const std::string payload,
+                       ReadBundlePayload(path, kCacheFormat));
   auto cache = std::make_unique<LearnedCardinalityCache>(config);
   std::istringstream body(payload);
+  std::string line;
   if (!std::getline(body, line) || line.rfind("signatures ", 0) != 0) {
     return Status::IOError(path + ": missing signatures header");
   }

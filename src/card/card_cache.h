@@ -48,9 +48,9 @@ struct CardCacheConfig {
 };
 
 /// \brief Immutable point-in-time copy of the learned cache, published to
-/// concurrent planners through CardFeedbackLoop's RCU pointer (the same
-/// pattern as serve::ModelRegistry). Lookups are lock-free by construction.
-class CardSnapshot : public std::enable_shared_from_this<CardSnapshot> {
+/// concurrent planners by CardFeedbackLoop (common/published.h). Lookups
+/// are lock-free by construction.
+class CardSnapshot {
  public:
   struct Entry {
     uint64_t signature = 0;
@@ -79,8 +79,7 @@ class CardSnapshot : public std::enable_shared_from_this<CardSnapshot> {
 /// \brief Bounded, thread-safe cardinality feedback store: LRU over plan
 /// signatures, a bounded observation window per signature, kNN smoothing
 /// over plan features inside (and, for near misses, across) signature
-/// buckets, and checksummed persistence reusing the serve/model_store
-/// bundle conventions.
+/// buckets, and checksummed persistence in the common/bundle.h framing.
 ///
 /// All public methods are safe to call concurrently; lookups and records
 /// share one mutex (planning consults a published CardSnapshot instead when

@@ -4,146 +4,73 @@
 
 #include "card/signature.h"
 #include "obs/metrics.h"
+#include "workload/harvest.h"
 
 namespace qpp::card {
-namespace {
 
-struct HarvestSample {
+struct CardFeedbackLoop::Sample {
   uint64_t signature = 0;
   uint64_t class_hash = 0;
-  std::array<double, 3> features{};
-  double est_rows = 0.0;
-  double actual_rows = 0.0;
+  CardObservation obs;
 };
-
-void CollectFromPlan(const PlanNode& node, bool tainted,
-                     std::vector<HarvestSample>* out) {
-  if (!tainted && node.actual.valid) {
-    HarvestSample s;
-    if (node.card_signature != 0) {
-      s.signature = node.card_signature;
-      s.class_hash = node.card_class;
-      s.features = node.card_features;
-    } else {
-      const NodeSignature sig = ComputePlanNodeSignature(node);
-      s.signature = sig.signature;
-      s.class_hash = sig.class_hash;
-      s.features = ComputeCardFeatures(node);
-    }
-    if (s.signature != 0) {
-      s.est_rows = node.est.rows;
-      s.actual_rows = node.actual.rows;
-      out->push_back(s);
-    }
-  }
-  const bool downstream_taint = tainted || node.op == PlanOp::kLimit;
-  for (size_t i = 0; i < node.children.size(); ++i) {
-    const bool child_taint =
-        downstream_taint && !HarvestChildResetsTaint(node.op, i);
-    CollectFromPlan(*node.children[i], child_taint, out);
-  }
-}
-
-void CollectFromRecord(const QueryRecord& record, int op_index, bool tainted,
-                       std::vector<HarvestSample>* out) {
-  if (op_index < 0 || op_index >= static_cast<int>(record.ops.size())) return;
-  const OperatorRecord& op = record.ops[static_cast<size_t>(op_index)];
-  if (!tainted && op.actual.valid && op.card_signature != 0) {
-    HarvestSample s;
-    s.signature = op.card_signature;
-    s.class_hash = op.card_class;
-    s.features = op.card_features;
-    s.est_rows = op.est.rows;
-    s.actual_rows = op.actual.rows;
-    out->push_back(s);
-  }
-  const bool downstream_taint = tainted || op.op == PlanOp::kLimit;
-  const int children[2] = {op.left_child, op.right_child};
-  for (size_t i = 0; i < 2; ++i) {
-    if (children[i] < 0) continue;
-    const bool child_taint =
-        downstream_taint && !HarvestChildResetsTaint(op.op, i);
-    CollectFromRecord(record, record.IndexOfNode(children[i]), child_taint,
-                      out);
-  }
-}
-
-}  // namespace
-
-bool HarvestChildResetsTaint(PlanOp parent_op, size_t child_index) {
-  switch (parent_op) {
-    case PlanOp::kHashJoin:
-      return child_index == 1;
-    case PlanOp::kSort:
-    case PlanOp::kMaterialize:
-    case PlanOp::kHashAggregate:
-      return true;
-    default:
-      return false;
-  }
-}
 
 CardFeedbackLoop::CardFeedbackLoop(CardFeedbackConfig config)
     : config_(std::move(config)), cache_(config_.cache) {}
 
-uint64_t CardFeedbackLoop::NoteHarvestedQuery(size_t nodes) {
+Status CardFeedbackLoop::HarvestPlan(const PlanNode& root) {
+  std::vector<Sample> samples;
+  ForEachTrustedActual(root, [&samples](const PlanNode& node) {
+    Sample s;
+    if (node.card_signature != 0) {
+      s.signature = node.card_signature;
+      s.class_hash = node.card_class;
+      s.obs.features = node.card_features;
+    } else {
+      const NodeSignature sig = ComputePlanNodeSignature(node);
+      s.signature = sig.signature;
+      s.class_hash = sig.class_hash;
+      s.obs.features = ComputeCardFeatures(node);
+    }
+    if (s.signature == 0) return;
+    s.obs.est_rows = node.est.rows;
+    s.obs.actual_rows = node.actual.rows;
+    samples.push_back(s);
+  });
+  return Ingest(samples);
+}
+
+Status CardFeedbackLoop::HarvestRecord(const QueryRecord& record) {
+  std::vector<Sample> samples;
+  ForEachTrustedActual(record, [&samples](const OperatorRecord& op) {
+    if (op.card_signature == 0) return;
+    samples.push_back(
+        Sample{op.card_signature, op.card_class,
+               CardObservation{op.card_features, op.est.rows, op.actual.rows}});
+  });
+  return Ingest(samples);
+}
+
+Status CardFeedbackLoop::Ingest(const std::vector<Sample>& samples) {
   static obs::Counter* query_counter = obs::MetricsRegistry::Global()
       ->GetCounter("card.feedback.harvested_queries");
   static obs::Counter* node_counter = obs::MetricsRegistry::Global()
       ->GetCounter("card.feedback.harvested_nodes");
+  for (const Sample& s : samples) {
+    cache_.Record(s.signature, s.class_hash, s.obs.features, s.obs.est_rows,
+                  s.obs.actual_rows);
+  }
   query_counter->Increment();
-  node_counter->Increment(nodes);
-  harvested_nodes_.fetch_add(nodes, std::memory_order_relaxed);
-  return harvested_queries_.fetch_add(1, std::memory_order_relaxed) + 1;
-}
-
-Status CardFeedbackLoop::HarvestPlan(const PlanNode& root) {
-  std::vector<HarvestSample> samples;
-  CollectFromPlan(root, /*tainted=*/false, &samples);
-  for (const HarvestSample& s : samples) {
-    cache_.Record(s.signature, s.class_hash, s.features, s.est_rows,
-                  s.actual_rows);
-  }
-  const uint64_t n = NoteHarvestedQuery(samples.size());
+  node_counter->Increment(samples.size());
+  harvested_nodes_.fetch_add(samples.size(), std::memory_order_relaxed);
+  const uint64_t n =
+      harvested_queries_.fetch_add(1, std::memory_order_relaxed) + 1;
   if (config_.publish_interval == 0 || n % config_.publish_interval == 0) {
     (void)PublishSnapshot();
   }
   if (!config_.log_path.empty()) {
-    for (const HarvestSample& s : samples) {
-      CardObservation o;
-      o.features = s.features;
-      o.est_rows = s.est_rows;
-      o.actual_rows = s.actual_rows;
-      QPP_RETURN_NOT_OK(
-          AppendObservationToFile(s.signature, s.class_hash, o,
-                                  config_.log_path));
-    }
-  }
-  return Status::OK();
-}
-
-Status CardFeedbackLoop::HarvestRecord(const QueryRecord& record) {
-  std::vector<HarvestSample> samples;
-  if (!record.ops.empty()) {
-    CollectFromRecord(record, 0, /*tainted=*/false, &samples);
-  }
-  for (const HarvestSample& s : samples) {
-    cache_.Record(s.signature, s.class_hash, s.features, s.est_rows,
-                  s.actual_rows);
-  }
-  const uint64_t n = NoteHarvestedQuery(samples.size());
-  if (config_.publish_interval == 0 || n % config_.publish_interval == 0) {
-    (void)PublishSnapshot();
-  }
-  if (!config_.log_path.empty()) {
-    for (const HarvestSample& s : samples) {
-      CardObservation o;
-      o.features = s.features;
-      o.est_rows = s.est_rows;
-      o.actual_rows = s.actual_rows;
-      QPP_RETURN_NOT_OK(
-          AppendObservationToFile(s.signature, s.class_hash, o,
-                                  config_.log_path));
+    for (const Sample& s : samples) {
+      QPP_RETURN_NOT_OK(AppendObservationToFile(s.signature, s.class_hash,
+                                                s.obs, config_.log_path));
     }
   }
   return Status::OK();
@@ -152,19 +79,10 @@ Status CardFeedbackLoop::HarvestRecord(const QueryRecord& record) {
 uint64_t CardFeedbackLoop::PublishSnapshot() {
   static obs::Gauge* version_gauge = obs::MetricsRegistry::Global()->GetGauge(
       "card.feedback.snapshot_version");
-  std::lock_guard<OrderedMutex> lock(publish_mu_);
-  const uint64_t version =
-      snapshots_.load(std::memory_order_relaxed) + 1;
-  std::shared_ptr<const CardSnapshot> snap = cache_.MakeSnapshot(version);
-  // One retained snapshot per publish_interval harvested queries: RCU
-  // reclamation history, the same retention discipline (and rationale) as
-  // serve::ModelRegistry::history_.
-  // qpp-lint: allow(card-unbounded-cache): growth bounded by publish cadence
-  history_.push_back(snap);
-  current_.store(snap.get(), std::memory_order_release);
-  snapshots_.fetch_add(1, std::memory_order_relaxed);
-  version_gauge->Set(static_cast<double>(version));
-  return version;
+  return snapshots_.Publish([this](uint64_t version) {
+    version_gauge->Set(static_cast<double>(version));
+    return cache_.MakeSnapshot(version);
+  });
 }
 
 }  // namespace qpp::card

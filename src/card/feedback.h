@@ -3,25 +3,15 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
-#include "common/ordered_mutex.h"
 #include "card/card_cache.h"
+#include "common/published.h"
 #include "plan/plan.h"
 #include "workload/query_log.h"
 
 namespace qpp::card {
-
-/// True when the edge from `parent_op` to its `child_index`-th input always
-/// consumes that input fully, regardless of how much of the parent's own
-/// output is pulled: the hash-join build side and the pipeline breakers
-/// (Sort, Materialize, HashAggregate) drain their inputs before emitting
-/// anything, so actual row counts below them are trustworthy even under a
-/// Limit. Shared by every PlanActuals harvester (the card and kde feedback
-/// loops) so the Limit-taint rules cannot drift apart.
-bool HarvestChildResetsTaint(PlanOp parent_op, size_t child_index);
 
 struct CardFeedbackConfig {
   CardCacheConfig cache;
@@ -36,10 +26,9 @@ struct CardFeedbackConfig {
 /// \brief Closes the estimate → execute → learn loop: harvests per-operator
 /// (signature, estimated rows, actual rows) triples from executed plans into
 /// a LearnedCardinalityCache, and periodically publishes immutable
-/// CardSnapshot generations for lock-free consultation by concurrent
-/// planners — the exact RCU discipline of serve::ModelRegistry (wait-free
-/// acquire-load readers, mutex-serialized writers, every generation retained
-/// until destruction so a reader can never observe a freed snapshot).
+/// CardSnapshot generations through a Published<CardSnapshot>, so
+/// concurrent planners estimate without touching the cache lock and a
+/// superseded generation is freed once its last planner drops it.
 ///
 /// Harvesting reads only the PlanActuals the executor already collected —
 /// it adds zero clock or counter reads to the tuple path.
@@ -52,9 +41,7 @@ class CardFeedbackLoop {
   /// Harvests every eligible operator of an executed plan (signatures are
   /// computed on the fly when the optimizer did not stamp them). Operators
   /// whose actual row counts are untrustworthy — anything on a pipelined
-  /// path below a Limit, where early termination under-counts — are
-  /// skipped; full-consumption edges (hash-join build side, Sort,
-  /// Materialize, HashAggregate inputs) reset that taint.
+  /// path below a Limit — are skipped (workload/harvest.h).
   Status HarvestPlan(const PlanNode& root);
 
   /// Same harvest over a flattened QueryRecord (the serving-side path:
@@ -62,10 +49,10 @@ class CardFeedbackLoop {
   /// legacy records without them are ignored).
   Status HarvestRecord(const QueryRecord& record);
 
-  /// Snapshot for lock-free estimation; null until the first publish.
+  /// Snapshot for estimation off the cache lock; null until the first
+  /// publish.
   std::shared_ptr<const CardSnapshot> CurrentSnapshot() const {
-    const CardSnapshot* s = current_.load(std::memory_order_acquire);
-    return s == nullptr ? nullptr : s->shared_from_this();
+    return snapshots_.Load();
   }
 
   /// Forces publication of a fresh snapshot; returns its version number.
@@ -84,29 +71,23 @@ class CardFeedbackLoop {
   uint64_t harvested_nodes() const {
     return harvested_nodes_.load(std::memory_order_relaxed);
   }
-  uint64_t snapshots_published() const {
-    return snapshots_.load(std::memory_order_relaxed);
-  }
+  uint64_t snapshots_published() const { return snapshots_.version(); }
 
   const CardFeedbackConfig& config() const { return config_; }
 
  private:
-  uint64_t NoteHarvestedQuery(size_t nodes);
+  struct Sample;
+
+  /// Records one harvested query's samples, publishes on cadence and
+  /// appends to the durable log.
+  Status Ingest(const std::vector<Sample>& samples);
 
   CardFeedbackConfig config_;
   LearnedCardinalityCache cache_;
-
-  /// Raw pointer into history_; acquire/release paired with
-  /// PublishSnapshot (see serve::ModelRegistry for the pattern rationale).
-  std::atomic<const CardSnapshot*> current_{nullptr};
-  OrderedMutex publish_mu_;
-  /// All published snapshots, retained for the loop's lifetime (RCU
-  /// reclamation by non-reclamation; bounded by publish cadence).
-  std::vector<std::shared_ptr<const CardSnapshot>> history_;
+  Published<CardSnapshot> snapshots_;
 
   std::atomic<uint64_t> harvested_queries_{0};
   std::atomic<uint64_t> harvested_nodes_{0};
-  std::atomic<uint64_t> snapshots_{0};
 };
 
 }  // namespace qpp::card

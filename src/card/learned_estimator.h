@@ -13,7 +13,8 @@ namespace qpp::card {
 ///
 /// Two wiring modes, chosen by constructor:
 ///   - feedback-loop mode: each estimate consults CurrentSnapshot() — a
-///     wait-free atomic load; concurrent harvesting never blocks planning.
+///     shared_ptr copy under a leaf lock that no harvest holds while it
+///     works, so concurrent harvesting never blocks planning.
 ///   - direct-cache mode: each estimate takes the cache mutex — simpler,
 ///     right for single-threaded tools and benchmarks.
 /// The estimator is const-thread-safe in both modes and borrows its target

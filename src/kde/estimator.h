@@ -6,9 +6,9 @@
 namespace qpp::kde {
 
 /// \brief The optimizer-facing adapter of the KDE backend: resolves each
-/// CardinalityQuery against the loop's current snapshot (wait-free
-/// acquire-load — safe to share one instance across planning threads while
-/// feedback publishes new generations).
+/// CardinalityQuery against the loop's current snapshot (safe to share one
+/// instance across planning threads while feedback publishes new
+/// generations).
 ///
 /// Answers only base-table scans whose predicate the optimizer could
 /// normalize into exhaustive bounds over a sampled table; for everything

@@ -1,125 +1,29 @@
 #include "kde/feedback.h"
 
-#include <algorithm>
-#include <fstream>
 #include <sstream>
 #include <utility>
 
-#include "card/feedback.h"
-#include "common/checksum.h"
+#include "common/bundle.h"
 #include "obs/metrics.h"
 #include "optimizer/selectivity.h"
+#include "workload/harvest.h"
 
 namespace qpp::kde {
 namespace {
 
-constexpr char kBundleMagic[] = "qpp-kde-bundle v1";
-
-/// One harvested (bounds, actual) observation awaiting a bandwidth step.
-struct KdeObservation {
-  PredicateBounds bounds;
-  double actual_rows = 0.0;
-};
+constexpr BundleFormat kBundleFormat{"qpp-kde-bundle v1", "kde bundle"};
 
 bool UsableBounds(const PredicateBounds& bounds) {
   return bounds.exhaustive && !bounds.table.empty() && !bounds.columns.empty();
 }
 
-void CollectFromPlan(const PlanNode& node, bool tainted,
-                     std::vector<KdeObservation>* out) {
-  if (!tainted && node.op == PlanOp::kSeqScan && node.actual.valid) {
-    if (node.card_bounds != nullptr) {
-      if (UsableBounds(*node.card_bounds)) {
-        out->push_back({*node.card_bounds, node.actual.rows});
-      }
-    } else if (node.table != nullptr) {
-      // Plans compiled without a KDE-aware optimizer pass (or with the
-      // estimator detached) still harvest: recompute bounds on the fly.
-      PredicateBounds bounds = ExtractPredicateBounds(
-          node.predicate.get(), *node.table, node.label);
-      if (UsableBounds(bounds)) {
-        out->push_back({std::move(bounds), node.actual.rows});
-      }
-    }
-  }
-  const bool downstream_taint = tainted || node.op == PlanOp::kLimit;
-  for (size_t i = 0; i < node.children.size(); ++i) {
-    const bool child_taint =
-        downstream_taint && !card::HarvestChildResetsTaint(node.op, i);
-    CollectFromPlan(*node.children[i], child_taint, out);
-  }
-}
-
-void CollectFromRecord(const QueryRecord& record, int op_index, bool tainted,
-                       std::vector<KdeObservation>* out) {
-  if (op_index < 0 || op_index >= static_cast<int>(record.ops.size())) return;
-  const OperatorRecord& op = record.ops[static_cast<size_t>(op_index)];
-  if (!tainted && op.op == PlanOp::kSeqScan && op.actual.valid &&
-      UsableBounds(op.bounds)) {
-    out->push_back({op.bounds, op.actual.rows});
-  }
-  const bool downstream_taint = tainted || op.op == PlanOp::kLimit;
-  const int children[2] = {op.left_child, op.right_child};
-  for (size_t i = 0; i < 2; ++i) {
-    if (children[i] < 0) continue;
-    const bool child_taint =
-        downstream_taint && !card::HarvestChildResetsTaint(op.op, i);
-    CollectFromRecord(record, record.IndexOfNode(children[i]), child_taint,
-                      out);
-  }
-}
-
-std::vector<std::string> SplitPipe(const std::string& line) {
-  std::vector<std::string> fields;
-  size_t start = 0;
-  while (true) {
-    const size_t bar = line.find('|', start);
-    if (bar == std::string::npos) {
-      fields.push_back(line.substr(start));
-      break;
-    }
-    fields.push_back(line.substr(start, bar - start));
-    start = bar + 1;
-  }
-  return fields;
-}
-
-Result<double> ParseDouble(const std::string& s, const char* what) {
-  try {
-    size_t pos = 0;
-    const double v = std::stod(s, &pos);
-    if (pos != s.size()) {
-      return Status::IOError(std::string("trailing garbage in ") + what +
-                             " '" + s + "'");
-    }
-    return v;
-  } catch (const std::exception&) {
-    return Status::IOError(std::string("bad ") + what + " '" + s + "'");
-  }
-}
-
-Result<uint64_t> ParseU64(const std::string& s, const char* what) {
-  try {
-    size_t pos = 0;
-    const uint64_t v = std::stoull(s, &pos);
-    if (pos != s.size()) {
-      return Status::IOError(std::string("trailing garbage in ") + what +
-                             " '" + s + "'");
-    }
-    return v;
-  } catch (const std::exception&) {
-    return Status::IOError(std::string("bad ") + what + " '" + s + "'");
-  }
-}
-
-void AppendDouble(std::ostringstream* out, double v) {
-  // precision 17: shortest round-trippable decimal for IEEE double, the
-  // repo-wide convention for persisted floats (see scripts/qpp_lint.py).
-  out->precision(17);
-  *out << v;
-}
-
 }  // namespace
+
+/// One harvested (bounds, actual) observation awaiting a bandwidth step.
+struct KdeFeedbackLoop::Observation {
+  PredicateBounds bounds;
+  double actual_rows = 0.0;
+};
 
 KdeFeedbackLoop::KdeFeedbackLoop(KdeFeedbackConfig config)
     : config_(std::move(config)) {}
@@ -141,57 +45,59 @@ Status KdeFeedbackLoop::BuildFromDatabase(const Database& db) {
   return Status::OK();
 }
 
-uint64_t KdeFeedbackLoop::NoteHarvestedQuery(size_t updates) {
+Status KdeFeedbackLoop::HarvestPlan(const PlanNode& root) {
+  std::vector<Observation> observations;
+  ForEachTrustedActual(root, [&observations](const PlanNode& node) {
+    if (node.op != PlanOp::kSeqScan) return;
+    if (node.card_bounds != nullptr) {
+      if (UsableBounds(*node.card_bounds)) {
+        observations.push_back({*node.card_bounds, node.actual.rows});
+      }
+    } else if (node.table != nullptr) {
+      // Plans compiled without a KDE-aware optimizer pass (or with the
+      // estimator detached) still harvest: recompute bounds on the fly.
+      PredicateBounds bounds = ExtractPredicateBounds(
+          node.predicate.get(), *node.table, node.label);
+      if (UsableBounds(bounds)) {
+        observations.push_back({std::move(bounds), node.actual.rows});
+      }
+    }
+  });
+  return Ingest(observations);
+}
+
+Status KdeFeedbackLoop::HarvestRecord(const QueryRecord& record) {
+  std::vector<Observation> observations;
+  ForEachTrustedActual(record, [&observations](const OperatorRecord& op) {
+    if (op.op == PlanOp::kSeqScan && UsableBounds(op.bounds)) {
+      observations.push_back({op.bounds, op.actual.rows});
+    }
+  });
+  return Ingest(observations);
+}
+
+Status KdeFeedbackLoop::Ingest(const std::vector<Observation>& observations) {
   static obs::Counter* query_counter = obs::MetricsRegistry::Global()
       ->GetCounter("kde.feedback.harvested_queries");
   static obs::Counter* update_counter = obs::MetricsRegistry::Global()
       ->GetCounter("kde.feedback.bandwidth_updates");
+  size_t updates = 0;
+  {
+    std::lock_guard<OrderedMutex> lock(mu_);
+    for (const Observation& o : observations) {
+      const auto it = models_.find(o.bounds.table);
+      if (it == models_.end() || it->second.sample == nullptr) continue;
+      if (UpdateBandwidths(*it->second.sample, o.bounds, o.actual_rows,
+                           config_.bandwidth, &it->second.bandwidths)) {
+        ++updates;
+      }
+    }
+  }
   query_counter->Increment();
   update_counter->Increment(updates);
   bandwidth_updates_.fetch_add(updates, std::memory_order_relaxed);
-  return harvested_queries_.fetch_add(1, std::memory_order_relaxed) + 1;
-}
-
-Status KdeFeedbackLoop::HarvestPlan(const PlanNode& root) {
-  std::vector<KdeObservation> observations;
-  CollectFromPlan(root, /*tainted=*/false, &observations);
-  size_t updates = 0;
-  {
-    std::lock_guard<OrderedMutex> lock(mu_);
-    for (const KdeObservation& o : observations) {
-      const auto it = models_.find(o.bounds.table);
-      if (it == models_.end() || it->second.sample == nullptr) continue;
-      if (UpdateBandwidths(*it->second.sample, o.bounds, o.actual_rows,
-                           config_.bandwidth, &it->second.bandwidths)) {
-        ++updates;
-      }
-    }
-  }
-  const uint64_t n = NoteHarvestedQuery(updates);
-  if (config_.publish_interval == 0 || n % config_.publish_interval == 0) {
-    (void)PublishSnapshot();
-  }
-  return Status::OK();
-}
-
-Status KdeFeedbackLoop::HarvestRecord(const QueryRecord& record) {
-  std::vector<KdeObservation> observations;
-  if (!record.ops.empty()) {
-    CollectFromRecord(record, 0, /*tainted=*/false, &observations);
-  }
-  size_t updates = 0;
-  {
-    std::lock_guard<OrderedMutex> lock(mu_);
-    for (const KdeObservation& o : observations) {
-      const auto it = models_.find(o.bounds.table);
-      if (it == models_.end() || it->second.sample == nullptr) continue;
-      if (UpdateBandwidths(*it->second.sample, o.bounds, o.actual_rows,
-                           config_.bandwidth, &it->second.bandwidths)) {
-        ++updates;
-      }
-    }
-  }
-  const uint64_t n = NoteHarvestedQuery(updates);
+  const uint64_t n =
+      harvested_queries_.fetch_add(1, std::memory_order_relaxed) + 1;
   if (config_.publish_interval == 0 || n % config_.publish_interval == 0) {
     (void)PublishSnapshot();
   }
@@ -201,30 +107,18 @@ Status KdeFeedbackLoop::HarvestRecord(const QueryRecord& record) {
 uint64_t KdeFeedbackLoop::PublishSnapshot() {
   static obs::Gauge* version_gauge = obs::MetricsRegistry::Global()->GetGauge(
       "kde.feedback.snapshot_version");
-  // Lock order: publish_mu_ before mu_ (matching card::CardFeedbackLoop);
-  // never publish while holding mu_ alone.
-  std::lock_guard<OrderedMutex> publish_lock(publish_mu_);
-  const uint64_t version = snapshots_.load(std::memory_order_relaxed) + 1;
-  std::map<std::string, KdeSnapshot::TableModel> tables;
-  {
-    std::lock_guard<OrderedMutex> lock(mu_);
-    for (const auto& [name, entry] : models_) {
-      tables[name] = KdeSnapshot::TableModel{entry.sample, entry.bandwidths};
+  // Never called with mu_ held: the publisher lock ranks above it.
+  return snapshots_.Publish([this](uint64_t version) {
+    std::map<std::string, KdeSnapshot::TableModel> tables;
+    {
+      std::lock_guard<OrderedMutex> lock(mu_);
+      for (const auto& [name, entry] : models_) {
+        tables[name] = KdeSnapshot::TableModel{entry.sample, entry.bandwidths};
+      }
     }
-  }
-  // Non-const make_shared so enable_shared_from_this wiring is guaranteed;
-  // the returned pointer is const, and nothing mutates a snapshot.
-  std::shared_ptr<const KdeSnapshot> snap =
-      std::make_shared<KdeSnapshot>(version, std::move(tables));
-  // One retained snapshot per publish_interval harvested queries: RCU
-  // reclamation history, the same retention discipline (and rationale) as
-  // card::CardFeedbackLoop::history_.
-  // qpp-lint: allow(kde-unbounded-sample): growth bounded by publish cadence
-  history_.push_back(snap);
-  current_.store(snap.get(), std::memory_order_release);
-  snapshots_.fetch_add(1, std::memory_order_relaxed);
-  version_gauge->Set(static_cast<double>(version));
-  return version;
+    version_gauge->Set(static_cast<double>(version));
+    return std::make_shared<const KdeSnapshot>(version, std::move(tables));
+  });
 }
 
 size_t KdeFeedbackLoop::table_count() const {
@@ -264,53 +158,14 @@ Status KdeFeedbackLoop::SaveToFile(const std::string& path) const {
       }
     }
   }
-  const std::string text = payload.str();
-  std::ofstream out(path, std::ios::binary);
-  if (!out.is_open()) return Status::IOError("cannot open " + path);
-  out << kBundleMagic << "\n";
-  out << "bytes " << text.size() << "\n";
-  out << "checksum " << ChecksumHex(Fnv1a64(text)) << "\n";
-  out << text;
-  if (!out.good()) return Status::IOError("write failed: " + path);
-  return Status::OK();
+  return WriteBundle(path, kBundleFormat, payload.str());
 }
 
 Status KdeFeedbackLoop::LoadFromFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in.is_open()) return Status::IOError("cannot open " + path);
-  std::string line;
-  if (!std::getline(in, line) || line != kBundleMagic) {
-    return Status::IOError(path + ": not a qpp kde bundle");
-  }
-  if (!std::getline(in, line) || line.rfind("bytes ", 0) != 0) {
-    return Status::IOError(path + ": missing bytes header");
-  }
-  size_t payload_bytes = 0;
-  try {
-    payload_bytes = std::stoul(line.substr(6));
-  } catch (const std::exception&) {
-    return Status::IOError(path + ": bad bytes header '" + line + "'");
-  }
-  if (!std::getline(in, line) || line.rfind("checksum ", 0) != 0) {
-    return Status::IOError(path + ": missing checksum header");
-  }
-  auto checksum = ParseChecksumHex(line.substr(9));
-  if (!checksum.ok()) {
-    return Status::IOError(path + ": " + checksum.status().message());
-  }
-  std::string payload(payload_bytes, '\0');
-  in.read(payload.data(), static_cast<std::streamsize>(payload_bytes));
-  if (static_cast<size_t>(in.gcount()) != payload_bytes) {
-    return Status::IOError(path + ": truncated payload");
-  }
-  const uint64_t actual = Fnv1a64(payload);
-  if (actual != *checksum) {
-    return Status::IOError(path + ": checksum mismatch (header " +
-                           ChecksumHex(*checksum) + ", payload " +
-                           ChecksumHex(actual) + ") — corrupt bundle");
-  }
-
+  QPP_ASSIGN_OR_RETURN(const std::string payload,
+                       ReadBundlePayload(path, kBundleFormat));
   std::istringstream body(payload);
+  std::string line;
   if (!std::getline(body, line) || line.rfind("tables ", 0) != 0) {
     return Status::IOError(path + ": missing tables header");
   }

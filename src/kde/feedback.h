@@ -4,12 +4,12 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
 #include "catalog/database.h"
 #include "common/ordered_mutex.h"
+#include "common/published.h"
 #include "kde/model.h"
 #include "kde/sample.h"
 #include "workload/query_log.h"
@@ -27,12 +27,11 @@ struct KdeFeedbackConfig {
 /// \brief The KDE backend's estimate → execute → learn loop: holds one
 /// reservoir sample + bandwidth vector per table, harvests
 /// (predicate-bounds, actual-rows) observations from executed plans or
-/// serving-side QueryRecords under the same Limit-taint rules as
-/// card::CardFeedbackLoop (shared via HarvestChildResetsTaint), descends
-/// per-dimension bandwidths online in log space, and publishes immutable
-/// KdeSnapshot generations under the repo's RCU discipline — wait-free
-/// acquire-load readers, mutex-serialized writers, every generation
-/// retained so a reader can never observe a freed snapshot.
+/// serving-side QueryRecords under the Limit-taint rules of
+/// workload/harvest.h, descends per-dimension bandwidths online in log
+/// space, and publishes immutable KdeSnapshot generations through a
+/// Published<KdeSnapshot>, which frees a superseded generation once its
+/// last reader drops it.
 ///
 /// Wiring: BuildFromDatabase (or LoadFromFile) populates the models and
 /// publishes a cold snapshot; attach a KdeCardinalityEstimator to the
@@ -52,8 +51,8 @@ class KdeFeedbackLoop {
 
   /// Harvests every untainted executed base-table scan carrying exhaustive
   /// predicate bounds (stamped by the optimizer, or recomputed on the fly
-  /// from the scan predicate) into one bandwidth update each. Limit-taint
-  /// rules match card::CardFeedbackLoop exactly.
+  /// from the scan predicate) into one bandwidth update each, skipping
+  /// scans whose actuals a Limit cut short (workload/harvest.h).
   Status HarvestPlan(const PlanNode& root);
 
   /// Same harvest over a flattened QueryRecord (the serving-side path:
@@ -61,10 +60,10 @@ class KdeFeedbackLoop {
   /// them — all binary-decoded records — are ignored).
   Status HarvestRecord(const QueryRecord& record);
 
-  /// Snapshot for lock-free estimation; null until the first publish.
+  /// Snapshot for estimation off the model lock; null until the first
+  /// publish.
   std::shared_ptr<const KdeSnapshot> CurrentSnapshot() const {
-    const KdeSnapshot* s = current_.load(std::memory_order_acquire);
-    return s == nullptr ? nullptr : s->shared_from_this();
+    return snapshots_.Load();
   }
 
   /// Forces publication of a fresh snapshot; returns its version number.
@@ -72,10 +71,9 @@ class KdeFeedbackLoop {
   uint64_t PublishSnapshot();
 
   /// Persists every model (sample + tuned bandwidths) as one checksummed
-  /// text bundle, the serve/model_store convention: magic line, payload
-  /// byte count, FNV-1a checksum, then the payload at full double
-  /// precision. Deterministic (tables sorted by name), so
-  /// Save ∘ Load ∘ Save is byte-identical.
+  /// bundle (common/bundle.h) with the payload at full double precision.
+  /// Deterministic (tables sorted by name), so Save ∘ Load ∘ Save is
+  /// byte-identical.
   Status SaveToFile(const std::string& path) const;
 
   /// Replaces the models with a bundle written by SaveToFile (checksum
@@ -91,9 +89,7 @@ class KdeFeedbackLoop {
   uint64_t bandwidth_updates() const {
     return bandwidth_updates_.load(std::memory_order_relaxed);
   }
-  uint64_t snapshots_published() const {
-    return snapshots_.load(std::memory_order_relaxed);
-  }
+  uint64_t snapshots_published() const { return snapshots_.version(); }
 
   const KdeFeedbackConfig& config() const { return config_; }
 
@@ -103,7 +99,10 @@ class KdeFeedbackLoop {
     std::vector<double> bandwidths;  // per sample column
   };
 
-  uint64_t NoteHarvestedQuery(size_t updates);
+  struct Observation;
+
+  /// Applies one harvested query's observations and publishes on cadence.
+  Status Ingest(const std::vector<Observation>& observations);
 
   KdeFeedbackConfig config_;
 
@@ -111,17 +110,10 @@ class KdeFeedbackLoop {
   mutable OrderedMutex mu_;
   std::map<std::string, ModelEntry> models_;
 
-  /// Raw pointer into history_; acquire/release paired with
-  /// PublishSnapshot (see serve::ModelRegistry for the pattern rationale).
-  std::atomic<const KdeSnapshot*> current_{nullptr};
-  OrderedMutex publish_mu_;
-  /// All published snapshots, retained for the loop's lifetime (RCU
-  /// reclamation by non-reclamation; bounded by publish cadence).
-  std::vector<std::shared_ptr<const KdeSnapshot>> history_;
+  Published<KdeSnapshot> snapshots_;
 
   std::atomic<uint64_t> harvested_queries_{0};
   std::atomic<uint64_t> bandwidth_updates_{0};
-  std::atomic<uint64_t> snapshots_{0};
 };
 
 }  // namespace qpp::kde

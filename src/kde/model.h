@@ -68,10 +68,10 @@ bool UpdateBandwidths(const TableSample& sample, const PredicateBounds& bounds,
                       std::vector<double>* bandwidths);
 
 /// \brief Immutable generation of per-table KDE models, published by
-/// KdeFeedbackLoop under the same RCU discipline as card::CardSnapshot:
-/// readers resolve estimates against one snapshot with no locking, writers
-/// tune bandwidths in the live models and publish fresh generations.
-class KdeSnapshot : public std::enable_shared_from_this<KdeSnapshot> {
+/// KdeFeedbackLoop (common/published.h): readers resolve estimates against
+/// one snapshot with no locking, writers tune bandwidths in the live models
+/// and publish fresh generations.
+class KdeSnapshot {
  public:
   struct TableModel {
     std::shared_ptr<const TableSample> sample;

@@ -269,7 +269,7 @@ Status FrameDecoder::ParseReady() {
       frame.payload_len = payload_len;
       // ready_ growth is bounded by Feed, which rejects input once buffer_
       // would exceed the decoder cap -- bytes are checked before they enter.
-      // qpp-lint: allow(net-unbounded-queue): bounded by kMaxDecoderBufferBytes
+      // qpp-lint: allow(unbounded-member-push): kMaxDecoderBufferBytes cap
       ready_.push_back(frame);
     }
     scan_ += kFrameHeaderBytes + payload_len;
@@ -355,7 +355,7 @@ Status FrameDecoder::UnpackBatch(size_t begin, uint32_t payload_len) {
         "batch container size mismatch: " + std::to_string(end - off) +
         " trailing bytes after " + std::to_string(count) + " inner frames");
   }
-  // qpp-lint: allow(net-unbounded-queue): bounded by kMaxDecoderBufferBytes
+  // qpp-lint: allow(unbounded-member-push): bounded by kMaxDecoderBufferBytes
   ready_.insert(ready_.end(), staged.begin(), staged.end());
   return Status::OK();
 }

@@ -200,7 +200,7 @@ Status PredictionServer::Start() {
       reactors_.clear();
       return st;
     }
-    // qpp-lint: allow(net-unbounded-queue): one entry per config_.reactors
+    // qpp-lint: allow(unbounded-member-push): one entry per config_.reactors
     reactors_.push_back(std::move(r));
   }
   port_.store(bound_port, std::memory_order_release);
@@ -509,7 +509,7 @@ void PredictionServer::AppendChunk(Connection* conn, std::string bytes) {
   conn->outbox_bytes += bytes.size();
   // Growth pauses reads at max_outbox_bytes (TCP backpressure), and every
   // queued byte was admitted under the pending caps.
-  // qpp-lint: allow(net-unbounded-queue): bounded by max_outbox_bytes read pause
+  // qpp-lint: allow(unbounded-member-push): max_outbox_bytes read pause
   conn->outbox.push_back(std::move(bytes));
 }
 
@@ -713,7 +713,7 @@ void PredictionServer::RunBatch(Reactor* r, std::vector<Pending> batch) {
     std::lock_guard<OrderedMutex> lock(r->completions_mu);
     for (auto& c : done) {
       // One entry per admitted request, and admission is capped upstream.
-      // qpp-lint: allow(net-unbounded-queue): bounded by config_.max_queue
+      // qpp-lint: allow(unbounded-member-push): bounded by config_.max_queue
       r->completions.push_back(std::move(c));
     }
   }
@@ -777,7 +777,7 @@ void PredictionServer::DrainCompletions(Reactor& r) {
         .fetch_add(1, std::memory_order_relaxed);
     auto& vec = grouped[conn];
     if (vec.empty()) order.push_back(conn);
-    // qpp-lint: allow(net-unbounded-queue): bounded by config_.max_queue
+    // qpp-lint: allow(unbounded-member-push): bounded by config_.max_queue
     vec.push_back(&c);
   }
   for (Connection* conn : order) {
@@ -802,7 +802,7 @@ void PredictionServer::MarkDead(Reactor& r, Connection* conn) {
   if (conn->dead) return;
   conn->dead = true;
   // At most one entry per open connection, capped at max_connections.
-  // qpp-lint: allow(net-unbounded-queue): bounded by config_.max_connections
+  // qpp-lint: allow(unbounded-member-push): bounded by config_.max_connections
   r.dead.push_back(conn->fd);
 }
 

@@ -1,94 +1,39 @@
 #include "serve/model_store.h"
 
-#include <fstream>
-#include <sstream>
-
-#include "common/checksum.h"
+#include "common/bundle.h"
 
 namespace qpp::serve {
 namespace {
 
-constexpr char kMagic[] = "qpp-model-bundle v1";
-
-struct BundleFile {
-  ModelBundleInfo info;
-  std::string payload;  // empty when only the header was requested
-};
-
-Result<BundleFile> ReadBundle(const std::string& path, bool want_payload) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in.is_open()) return Status::IOError("cannot open " + path);
-  BundleFile bundle;
-  std::string line;
-  if (!std::getline(in, line) || line != kMagic) {
-    return Status::IOError(path + ": not a qpp model bundle");
-  }
-  if (!std::getline(in, line) || line.rfind("method ", 0) != 0) {
-    return Status::IOError(path + ": missing method header");
-  }
-  bundle.info.method = line.substr(7);
-  if (!std::getline(in, line) || line.rfind("bytes ", 0) != 0) {
-    return Status::IOError(path + ": missing bytes header");
-  }
-  try {
-    bundle.info.payload_bytes = std::stoul(line.substr(6));
-  } catch (const std::exception&) {
-    return Status::IOError(path + ": bad bytes header '" + line + "'");
-  }
-  if (!std::getline(in, line) || line.rfind("checksum ", 0) != 0) {
-    return Status::IOError(path + ": missing checksum header");
-  }
-  auto checksum = ParseChecksumHex(line.substr(9));
-  if (!checksum.ok()) {
-    return Status::IOError(path + ": " + checksum.status().message());
-  }
-  bundle.info.checksum = *checksum;
-  if (!want_payload) return bundle;
-
-  bundle.payload.resize(bundle.info.payload_bytes);
-  in.read(bundle.payload.data(),
-          static_cast<std::streamsize>(bundle.info.payload_bytes));
-  if (static_cast<size_t>(in.gcount()) != bundle.info.payload_bytes) {
-    return Status::IOError(path + ": truncated payload (expected " +
-                           std::to_string(bundle.info.payload_bytes) +
-                           " bytes, got " + std::to_string(in.gcount()) + ")");
-  }
-  const uint64_t actual = Fnv1a64(bundle.payload);
-  if (actual != bundle.info.checksum) {
-    return Status::IOError(path + ": checksum mismatch (header " +
-                           ChecksumHex(bundle.info.checksum) + ", payload " +
-                           ChecksumHex(actual) + ") — corrupt bundle");
-  }
-  return bundle;
-}
+constexpr BundleFormat kModelFormat{"qpp-model-bundle v1", "model bundle"};
 
 }  // namespace
 
 Status SaveModelBundle(const QueryPerformancePredictor& predictor,
                        const std::string& path) {
   QPP_ASSIGN_OR_RETURN(const std::string payload, predictor.SerializeModels());
-  std::ofstream out(path, std::ios::binary);
-  if (!out.is_open()) return Status::IOError("cannot open " + path);
-  out << kMagic << "\n";
-  out << "method " << PredictionMethodName(predictor.config().method) << "\n";
-  out << "bytes " << payload.size() << "\n";
-  out << "checksum " << ChecksumHex(Fnv1a64(payload)) << "\n";
-  out << payload;
-  if (!out.good()) return Status::IOError("write failed: " + path);
-  return Status::OK();
+  return WriteBundle(
+      path, kModelFormat, payload,
+      {{"method", PredictionMethodName(predictor.config().method)}});
 }
 
 Result<QueryPerformancePredictor> LoadModelBundle(const std::string& path,
                                                   PredictorConfig base_config) {
-  QPP_ASSIGN_OR_RETURN(BundleFile bundle, ReadBundle(path, true));
+  QPP_ASSIGN_OR_RETURN(const std::string payload,
+                       ReadBundlePayload(path, kModelFormat, {"method"}));
   QueryPerformancePredictor predictor(base_config);
-  QPP_RETURN_NOT_OK(predictor.LoadModelsFromText(bundle.payload, path));
+  QPP_RETURN_NOT_OK(predictor.LoadModelsFromText(payload, path));
   return predictor;
 }
 
 Result<ModelBundleInfo> ReadModelBundleInfo(const std::string& path) {
-  QPP_ASSIGN_OR_RETURN(BundleFile bundle, ReadBundle(path, false));
-  return bundle.info;
+  QPP_ASSIGN_OR_RETURN(const BundleHeader header,
+                       ReadBundleHeader(path, kModelFormat, {"method"}));
+  ModelBundleInfo info;
+  info.method = header.values[0];
+  info.payload_bytes = header.payload_bytes;
+  info.checksum = header.checksum;
+  return info;
 }
 
 }  // namespace qpp::serve

@@ -21,7 +21,7 @@ struct ModelBundleInfo {
 /// \brief Versioned, checksummed model persistence — the bundle format the
 /// serving layer exchanges between trainer and server processes.
 ///
-/// Layout (text header, then an exact-length payload):
+/// Layout (common/bundle.h framing, then an exact-length payload):
 ///   qpp-model-bundle v1
 ///   method <name>
 ///   bytes <payload size>

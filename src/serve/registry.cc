@@ -16,20 +16,14 @@ uint64_t ModelRegistry::Publish(
       obs::MetricsRegistry::Global()->GetGauge("serve.registry.version");
   static obs::Counter* swap_counter =
       obs::MetricsRegistry::Global()->GetCounter("serve.registry.swaps");
-  auto version = std::make_shared<ModelVersion>();
-  version->source = std::move(source);
-  version->predictor = std::move(predictor);
-  std::lock_guard<OrderedMutex> lock(publish_mu_);
-  // Relaxed: serialized by publish_mu_; the snapshot itself is published
-  // by the release store to current_ below.
-  version->version = publishes_.fetch_add(1, std::memory_order_relaxed) + 1;
-  const uint64_t v = version->version;
-  const ModelVersion* raw = version.get();
-  history_.push_back(std::move(version));
-  current_.store(raw, std::memory_order_release);
-  version_gauge->Set(static_cast<double>(v));
-  swap_counter->Increment();
-  return v;
+  return versions_.Publish([&](uint64_t version) {
+    // Inside the publisher serialization, so racing publishes leave the
+    // gauge at the newest version.
+    version_gauge->Set(static_cast<double>(version));
+    swap_counter->Increment();
+    return std::make_shared<const ModelVersion>(
+        ModelVersion{version, std::move(source), std::move(predictor)});
+  });
 }
 
 }  // namespace qpp::serve

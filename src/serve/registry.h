@@ -1,22 +1,18 @@
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <vector>
 
-#include "common/ordered_mutex.h"
+#include "common/published.h"
 #include "qpp/predictor.h"
 
 namespace qpp::serve {
 
 /// One published generation of the prediction models: an immutable, fully
-/// trained predictor plus bookkeeping. Instances are shared read-only
-/// across request threads; enable_shared_from_this lets the registry's
-/// wait-free reader path take shared ownership from a raw pointer.
-struct ModelVersion : std::enable_shared_from_this<ModelVersion> {
+/// trained predictor plus bookkeeping, shared read-only across request
+/// threads.
+struct ModelVersion {
   /// Monotonically increasing publish sequence number (first publish == 1).
   uint64_t version = 0;
   /// Where this version came from ("initial-train", "retrain#2",
@@ -26,33 +22,24 @@ struct ModelVersion : std::enable_shared_from_this<ModelVersion> {
   std::shared_ptr<const QueryPerformancePredictor> predictor;
 };
 
-/// \brief Thread-safe versioned model store with RCU-style snapshot reads.
+/// \brief Thread-safe versioned model store with snapshot reads.
 ///
-/// Readers call Current() and get an immutable shared_ptr snapshot via a
-/// wait-free atomic pointer load — a concurrent Publish never blocks them,
-/// and a snapshot stays valid (and unchanging) for as long as the caller
-/// holds it, however many hot-swaps happen meanwhile. Writers serialize
-/// among themselves on a mutex, append the new version to the retained
-/// history, and swap the current pointer with release ordering; after
-/// Publish returns, every subsequent Current() observes the new version.
-///
-/// Reclamation: every published version is retained until the registry is
-/// destroyed. That sidesteps the RCU reader/reclaimer race (a reader
-/// between the raw load and taking shared ownership can never observe a
-/// freed version) without deferred-reclamation machinery, and the cost —
-/// one trained model per publish, for the handful of retrains a serving
-/// process performs — is negligible next to the serving corpus itself.
+/// Readers call Current() and get an immutable shared_ptr snapshot that
+/// stays valid (and unchanging) for as long as they hold it, however many
+/// hot-swaps happen meanwhile; a concurrent Publish never makes them wait
+/// for a model to be built. After Publish returns, every subsequent
+/// Current() observes the new version. A superseded version is freed when
+/// its last in-flight request drops it (see common/published.h).
 class ModelRegistry {
  public:
   ModelRegistry() = default;
   ModelRegistry(const ModelRegistry&) = delete;
   ModelRegistry& operator=(const ModelRegistry&) = delete;
 
-  /// Snapshot of the current version; null until the first Publish.
-  /// Wait-free: one atomic pointer load plus a refcount increment.
+  /// Snapshot of the current version; null until the first Publish. Take
+  /// one per request or batch.
   std::shared_ptr<const ModelVersion> Current() const {
-    const ModelVersion* v = current_.load(std::memory_order_acquire);
-    return v == nullptr ? nullptr : v->shared_from_this();
+    return versions_.Load();
   }
 
   /// Atomically installs `predictor` as the new current version and returns
@@ -62,26 +49,10 @@ class ModelRegistry {
                    std::string source);
 
   /// Version number of the current snapshot (0 before the first publish).
-  uint64_t current_version() const {
-    auto cur = Current();
-    return cur == nullptr ? 0 : cur->version;
-  }
-
-  /// Total number of publishes (== current_version, kept for symmetry with
-  /// service/feedback counters).
-  uint64_t publish_count() const {
-    return publishes_.load(std::memory_order_relaxed);
-  }
+  uint64_t current_version() const { return versions_.version(); }
 
  private:
-  /// Raw pointer into history_; the acquire load pairs with Publish's
-  /// release store, making the pointed-to (immutable) version visible.
-  std::atomic<const ModelVersion*> current_{nullptr};
-  std::atomic<uint64_t> publishes_{0};
-  OrderedMutex publish_mu_;
-  /// All published versions, in order; keeps every version alive for the
-  /// registry's lifetime (see class comment on reclamation).
-  std::vector<std::shared_ptr<const ModelVersion>> history_;
+  Published<ModelVersion> versions_;
 };
 
 }  // namespace qpp::serve

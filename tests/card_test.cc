@@ -38,6 +38,11 @@ std::string SlurpFile(const std::string& path) {
   return out.str();
 }
 
+std::string TestDataDir() {
+  const std::string file = __FILE__;
+  return file.substr(0, file.find_last_of('/')) + "/testdata";
+}
+
 /// Shared tiny TPC-H database (built once for the whole suite).
 class CardTest : public ::testing::Test {
  protected:
@@ -325,6 +330,18 @@ TEST_F(CardTest, PersistenceRoundTripIsByteIdentical) {
   EXPECT_DOUBLE_EQ(*a, *b);
 }
 
+// The committed bundle was written by an earlier build, so a change to the
+// framing or payload format that still round-trips against itself fails here.
+TEST_F(CardTest, GoldenBundleLoadSaveIsByteIdentical) {
+  const std::string golden = TestDataDir() + "/golden_card_cache.qppc";
+  auto loaded = LearnedCardinalityCache::LoadFromFile(golden);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ((*loaded)->size(), 3u);
+  const std::string resaved = ::testing::TempDir() + "/card_cache_golden.qppc";
+  ASSERT_TRUE((*loaded)->SaveToFile(resaved).ok());
+  EXPECT_EQ(SlurpFile(resaved), SlurpFile(golden));
+}
+
 TEST_F(CardTest, LoadRejectsCorruptBundle) {
   LearnedCardinalityCache cache;
   cache.Record(1, 1, F(1, 1, 0), 10, 20);
@@ -432,11 +449,15 @@ TEST_F(CardTest, SnapshotPublishAndLockFreeLookup) {
   ASSERT_TRUE(from_snap.has_value() && from_cache.has_value());
   EXPECT_DOUBLE_EQ(*from_snap, *from_cache);
 
-  // Old snapshots stay valid after later publishes (RCU retention).
+  // A held snapshot stays valid after later publishes, and is freed once
+  // its last holder lets go.
   loop.cache()->Record(12345, 1, F(1, 1, 0), 10, 20);
   const uint64_t v2 = loop.PublishSnapshot();
   EXPECT_GT(v2, snap->version());
   EXPECT_DOUBLE_EQ(*snap->EstimateRows(q), *from_snap);
+  const std::weak_ptr<const CardSnapshot> old = snap;
+  snap.reset();
+  EXPECT_TRUE(old.expired());
 }
 
 TEST_F(CardTest, ConcurrentHarvestAndLookup) {
@@ -453,6 +474,9 @@ TEST_F(CardTest, ConcurrentHarvestAndLookup) {
   const PlanNode& root = *plan->root;
   const auto query = Q(root.card_signature, root.card_class,
                        root.card_features, root.est.rows);
+  // Publish the plan's signatures before any reader starts, so every
+  // lookup below can hit however the threads are scheduled.
+  ASSERT_TRUE(loop.HarvestPlan(*plan->root).ok());
 
   const int threads = TestThreads();
   constexpr int kIters = 200;
@@ -478,7 +502,7 @@ TEST_F(CardTest, ConcurrentHarvestAndLookup) {
   }
   for (auto& w : workers) w.join();
   EXPECT_EQ(loop.harvested_queries(),
-            static_cast<uint64_t>((threads + 1) / 2) * kIters);
+            static_cast<uint64_t>((threads + 1) / 2) * kIters + 1);
   EXPECT_GT(loop.snapshots_published(), 0u);
 }
 

@@ -1,11 +1,19 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
+#include <fstream>
 #include <limits>
+#include <memory>
 #include <set>
+#include <sstream>
+#include <thread>
+#include <vector>
 
+#include "common/bundle.h"
 #include "common/date.h"
 #include "common/decimal.h"
+#include "common/published.h"
 #include "common/result.h"
 #include "common/rng.h"
 #include "common/stats.h"
@@ -476,6 +484,180 @@ TEST(StatsTest, RSquaredMeanPredictorIsZero) {
   const std::vector<double> y = {1, 2, 3};
   const std::vector<double> mean_pred = {2, 2, 2};
   EXPECT_DOUBLE_EQ(RSquared(y, mean_pred), 0.0);
+}
+
+// ---------------------------------- Bundle ----------------------------------
+
+constexpr BundleFormat kTestFormat{"qpp-test-bundle v1", "test bundle"};
+
+std::string ReadAll(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream out;
+  out << in.rdbuf();
+  return out.str();
+}
+
+void WriteAll(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary);
+  out << bytes;
+}
+
+TEST(BundleTest, RoundTripsHeaderFieldsAndPayload) {
+  const std::string path = ::testing::TempDir() + "/common_bundle.qpp";
+  const std::string payload = "line one\nline|two\n";
+  ASSERT_TRUE(WriteBundle(path, kTestFormat, payload, {{"method", "hybrid"}})
+                  .ok());
+  const std::string file = ReadAll(path);
+  EXPECT_EQ(file.substr(0, file.find("checksum ")),
+            "qpp-test-bundle v1\nmethod hybrid\nbytes 18\n");
+  EXPECT_EQ(file.substr(file.size() - payload.size()), payload);
+  auto header = ReadBundleHeader(path, kTestFormat, {"method"});
+  ASSERT_TRUE(header.ok()) << header.status().ToString();
+  EXPECT_EQ(header->values, std::vector<std::string>{"hybrid"});
+  EXPECT_EQ(header->payload_bytes, payload.size());
+  auto read = ReadBundlePayload(path, kTestFormat, {"method"});
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  EXPECT_EQ(*read, payload);
+}
+
+TEST(BundleTest, RejectsCorruptTruncatedAndForeignFilesNamingThePath) {
+  const std::string path = ::testing::TempDir() + "/common_bundle_bad.qpp";
+  ASSERT_TRUE(WriteBundle(path, kTestFormat, "0123456789abcdef\n").ok());
+  const std::string good = ReadAll(path);
+  const auto error = [&](const std::string& bytes) {
+    WriteAll(path, bytes);
+    auto read = ReadBundlePayload(path, kTestFormat);
+    EXPECT_FALSE(read.ok());
+    const std::string message = read.status().message();
+    EXPECT_NE(message.find(path), std::string::npos) << message;
+    return message;
+  };
+  std::string flipped = good;
+  flipped[flipped.size() - 3] ^= 0x01;
+  EXPECT_NE(error(flipped).find("checksum mismatch"), std::string::npos);
+  EXPECT_NE(error(good.substr(0, good.size() - 4)).find("truncated"),
+            std::string::npos);
+  EXPECT_NE(error("qpp-model-bundle v1\n" + good.substr(good.find('\n') + 1))
+                .find("not a qpp test bundle"),
+            std::string::npos);
+  WriteAll(path, good);
+  EXPECT_FALSE(ReadBundlePayload(path, kTestFormat, {"method"}).ok());
+}
+
+TEST(BundleTest, PayloadHelpersAreStrict) {
+  EXPECT_EQ(SplitPipe("a||b"), (std::vector<std::string>{"a", "", "b"}));
+  EXPECT_EQ(SplitPipe(""), std::vector<std::string>{""});
+  EXPECT_DOUBLE_EQ(*ParseDouble("2.5e-3", "x"), 2.5e-3);
+  EXPECT_FALSE(ParseDouble("2.5x", "x").ok());
+  EXPECT_FALSE(ParseDouble("", "x").ok());
+  EXPECT_EQ(*ParseU64("18446744073709551615", "n"), UINT64_MAX);
+  EXPECT_FALSE(ParseU64("12 ", "n").ok());
+  std::ostringstream out;
+  AppendDouble(&out, 0.1);
+  EXPECT_EQ(out.str(), "0.10000000000000001");
+}
+
+// --------------------------------- Published --------------------------------
+
+/// A generation whose every element equals its version, so a reader can
+/// tell a torn or mutated snapshot from an intact one.
+struct Generation {
+  uint64_t version = 0;
+  std::vector<uint64_t> payload;
+};
+
+std::shared_ptr<const Generation> MakeGeneration(uint64_t v) {
+  return std::make_shared<const Generation>(
+      Generation{v, std::vector<uint64_t>(v % 16 + 1, v)});
+}
+
+bool Intact(const Generation& g) {
+  for (uint64_t x : g.payload) {
+    if (x != g.version) return false;
+  }
+  return g.payload.size() == g.version % 16 + 1;
+}
+
+TEST(PublishedTest, UnreferencedGenerationIsFreedByTheNextPublish) {
+  Published<Generation> slot;
+  EXPECT_EQ(slot.Load(), nullptr);
+  EXPECT_EQ(slot.version(), 0u);
+  EXPECT_EQ(slot.Publish(MakeGeneration), 1u);
+  const std::weak_ptr<const Generation> first = slot.Load();
+  ASSERT_FALSE(first.expired());
+  EXPECT_EQ(slot.Publish(MakeGeneration), 2u);
+  EXPECT_TRUE(first.expired());
+  EXPECT_EQ(slot.Load()->version, 2u);
+}
+
+TEST(PublishedTest, HeldGenerationAnswersUnchangedAfterManyPublishes) {
+  Published<Generation> slot;
+  slot.Publish(MakeGeneration);
+  const std::shared_ptr<const Generation> held = slot.Load();
+  const std::vector<uint64_t> before = held->payload;
+  for (int i = 0; i < 1000; ++i) slot.Publish(MakeGeneration);
+  EXPECT_EQ(held->version, 1u);
+  EXPECT_EQ(held->payload, before);
+  EXPECT_EQ(slot.version(), 1001u);
+  EXPECT_EQ(slot.Load()->version, 1001u);
+}
+
+TEST(PublishedTest, RacingPublishersNumberGenerationsInOrder) {
+  Published<Generation> slot;
+  constexpr int kPublishers = 4;
+  constexpr int kEach = 200;
+  uint64_t last_made = 0;  // only touched inside make, which is serialized
+  std::vector<std::vector<uint64_t>> returned(kPublishers);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kPublishers; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < kEach; ++i) {
+        returned[static_cast<size_t>(t)].push_back(
+            slot.Publish([&last_made](uint64_t v) {
+              EXPECT_EQ(v, last_made + 1);
+              last_made = v;
+              return MakeGeneration(v);
+            }));
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  std::set<uint64_t> all;
+  for (const auto& versions : returned) {
+    for (size_t i = 1; i < versions.size(); ++i) {
+      EXPECT_LT(versions[i - 1], versions[i]);
+    }
+    all.insert(versions.begin(), versions.end());
+  }
+  EXPECT_EQ(all.size(), static_cast<size_t>(kPublishers * kEach));
+  EXPECT_EQ(*all.rbegin(), static_cast<uint64_t>(kPublishers * kEach));
+  EXPECT_EQ(slot.version(), static_cast<uint64_t>(kPublishers * kEach));
+}
+
+TEST(PublishedTest, ReadersRacePublishers) {
+  Published<Generation> slot;
+  slot.Publish(MakeGeneration);
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 3; ++t) {
+    readers.emplace_back([&slot, &stop] {
+      uint64_t seen = 0;
+      while (!stop.load(std::memory_order_acquire)) {
+        const std::shared_ptr<const Generation> g = slot.Load();
+        ASSERT_NE(g, nullptr);
+        ASSERT_TRUE(Intact(*g));
+        ASSERT_GE(g->version, seen);
+        seen = g->version;
+      }
+    });
+  }
+  std::thread publisher([&slot] {
+    for (int i = 0; i < 2000; ++i) slot.Publish(MakeGeneration);
+  });
+  publisher.join();
+  stop.store(true, std::memory_order_release);
+  for (auto& th : readers) th.join();
+  EXPECT_EQ(slot.version(), 2001u);
 }
 
 }  // namespace

@@ -501,8 +501,6 @@ class RealTreeTest(unittest.TestCase):
                          for m in c.members.values() if m.is_atomic]
         self.assertGreaterEqual(len(mutexes), 8)
         self.assertGreaterEqual(len(atomics_found), 10)
-        # Publication pointers are modelled as such.
-        self.assertTrue(any(m.is_pointer_atomic for m in atomics_found))
 
 
 if __name__ == "__main__":

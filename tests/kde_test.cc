@@ -43,6 +43,11 @@ std::string SlurpFile(const std::string& path) {
   return out.str();
 }
 
+std::string TestDataDir() {
+  const std::string file = __FILE__;
+  return file.substr(0, file.find_last_of('/')) + "/testdata";
+}
+
 /// The correlated pair the independence assumption gets badly wrong:
 /// y tracks x within ±10, so P(x ∈ B, y ∈ B) ≈ P(x ∈ B) for any wide band
 /// B, while per-column histograms estimate P(x ∈ B) · P(y ∈ B).
@@ -245,6 +250,19 @@ TEST_F(KdeTest, SaveLoadSaveIsByteIdentical) {
   auto snap = reloaded.CurrentSnapshot();
   ASSERT_NE(snap, nullptr);
   EXPECT_GT(snap->table_count(), 0u);
+}
+
+// The committed bundle (one 12-row table sampled at capacity 8, one tuned
+// bandwidth step) was written by an earlier build, so a change to the
+// framing or payload format that still round-trips against itself fails here.
+TEST_F(KdeTest, GoldenBundleLoadSaveIsByteIdentical) {
+  const std::string golden = TestDataDir() + "/golden_kde.qppk";
+  KdeFeedbackLoop loop;
+  ASSERT_TRUE(loop.LoadFromFile(golden).ok());
+  EXPECT_EQ(loop.table_count(), 1u);
+  const std::string resaved = ::testing::TempDir() + "/kde_bundle_golden.qppk";
+  ASSERT_TRUE(loop.SaveToFile(resaved).ok());
+  EXPECT_EQ(SlurpFile(resaved), SlurpFile(golden));
 }
 
 TEST_F(KdeTest, CorruptBundleRejected) {
@@ -468,6 +486,11 @@ TEST_F(KdeTest, ConcurrentEstimateAndBandwidthUpdate) {
   for (auto& th : readers) th.join();
   EXPECT_GE(loop.snapshots_published(), 50u);
   EXPECT_GE(loop.bandwidth_updates(), 50u);
+  // With the readers gone, nothing holds the current generation: the next
+  // publish frees it.
+  const std::weak_ptr<const KdeSnapshot> last = loop.CurrentSnapshot();
+  (void)loop.PublishSnapshot();
+  EXPECT_TRUE(last.expired());
 }
 
 }  // namespace

@@ -202,65 +202,61 @@ class NakedNewTest(unittest.TestCase):
         self.assertEqual([], rules_fired("// rebuilds the new model\nint x;"))
 
 
-class NetUnboundedQueueTest(unittest.TestCase):
-    def test_member_push_without_check_fires(self):
-        bad = "void F() { queue_.push_back(std::move(item)); }"
-        self.assertIn("net-unbounded-queue",
-                      rules_fired(bad, "src/net/server.cc"))
+class UnboundedMemberPushTest(unittest.TestCase):
+    """One rule over three trees; every case runs on a file in each."""
 
-    def test_deque_and_emplace_variants_fire(self):
-        for call in ("pending_.emplace_back(item)",
-                     "jobs_.push(item)",
-                     "inbox_.push_front(item)"):
-            self.assertIn("net-unbounded-queue",
-                          rules_fired(f"void F() {{ {call}; }}",
-                                      "src/net/frame.cc"),
-                          msg=call)
+    PATHS = ("src/net/server.cc", "src/card/card_cache.cc",
+             "src/kde/sample.cc")
+
+    def assert_fires(self, text):
+        for path in self.PATHS:
+            self.assertIn("unbounded-member-push", rules_fired(text, path),
+                          msg=path)
+
+    def assert_clean(self, text):
+        for path in self.PATHS:
+            self.assertEqual([], rules_fired(text, path), msg=path)
+
+    def test_member_push_without_check_fires(self):
+        self.assert_fires("void F() { queue_.push_back(std::move(item)); }")
+
+    def test_push_variants_fire(self):
+        for call in ("pending_.emplace_back(item)", "jobs_.push(item)",
+                     "lru_.push_front(sig)", "rows_.push_back(row)"):
+            self.assert_fires(f"void F() {{ {call}; }}")
 
     def test_capacity_check_dominates_ok(self):
-        good = """
-        void F() {
-          if (queue_.size() >= config_.max_queue) { return; }
-          queue_.push_back(std::move(item));
-        }
-        """
-        self.assertEqual([], rules_fired(good, "src/net/server.cc"))
-
-    def test_named_constant_bound_ok(self):
-        good = """
-        void F() {
-          if (ready_.size() < kMaxReadyFrames) {
-            ready_.push_back(std::move(frame));
-          }
-        }
-        """
-        self.assertEqual([], rules_fired(good, "src/net/frame.cc"))
+        for check in ("if (queue_.size() >= config_.max_queue) { return; }",
+                      "while (entries_.size() >= config_.max_signatures) "
+                      "{ EvictOne(); }",
+                      "if (rows_.size() >= kMaxSampleRows) { return; }",
+                      "if (queue_.size() < config_.capacity) {"):
+            self.assert_clean(f"void F() {{\n  {check}\n"
+                              "  queue_.push_back(std::move(item));\n}\n")
 
     def test_check_outside_window_still_fires(self):
-        filler = "  touch();\n" * (qpp_lint.NET_CAPACITY_WINDOW_LINES + 1)
-        bad = ("void F() {\n"
-               "  if (queue_.size() >= config_.max_queue) return;\n"
-               f"{filler}"
-               "  queue_.push_back(std::move(item));\n"
-               "}\n")
-        self.assertIn("net-unbounded-queue",
-                      rules_fired(bad, "src/net/server.cc"))
+        filler = "  touch();\n" * (qpp_lint.CAPACITY_WINDOW_LINES + 1)
+        self.assert_fires("void F() {\n"
+                          "  if (queue_.size() >= config_.max_queue) return;\n"
+                          f"{filler}"
+                          "  queue_.push_back(std::move(item));\n"
+                          "}\n")
 
     def test_local_container_ok(self):
-        good = "void F() { std::vector<int> live; live.push_back(1); }"
-        self.assertEqual([], rules_fired(good, "src/net/server.cc"))
+        self.assert_clean(
+            "void F() { std::vector<int> live; live.push_back(1); }")
 
-    def test_outside_src_net_exempt(self):
+    def test_other_trees_exempt(self):
         ok = "void F() { queue_.push_back(std::move(item)); }"
-        self.assertEqual([], rules_fired(ok, "src/serve/feedback.cc"))
+        for path in ("src/serve/feedback.cc", "src/workload/runner.cc"):
+            self.assertEqual([], rules_fired(ok, path), msg=path)
 
     def test_allow_with_bound_suppresses(self):
-        good = ("void F() {\n"
-                "  // qpp-lint: allow(net-unbounded-queue): bounded by "
-                "max_queue upstream\n"
-                "  queue_.push_back(std::move(item));\n"
-                "}\n")
-        self.assertEqual([], rules_fired(good, "src/net/server.cc"))
+        self.assert_clean("void F() {\n"
+                          "  // qpp-lint: allow(unbounded-member-push): "
+                          "bounded by max_queue upstream\n"
+                          "  queue_.push_back(std::move(item));\n"
+                          "}\n")
 
 
 class NetUnboundedIovecTest(unittest.TestCase):
@@ -318,7 +314,7 @@ class NetUnboundedIovecTest(unittest.TestCase):
                       rules_fired(bad, "src/net/server.cc"))
 
     def test_bound_outside_window_still_fires(self):
-        filler = "  touch();\n" * (qpp_lint.NET_CAPACITY_WINDOW_LINES + 1)
+        filler = "  touch();\n" * (qpp_lint.CAPACITY_WINDOW_LINES + 1)
         bad = ("void F() {\n"
                "  msg.msg_iovlen = std::min(iov.size(), kClientMaxIov);\n"
                f"{filler}"
@@ -342,129 +338,6 @@ class NetUnboundedIovecTest(unittest.TestCase):
                 "  ::sendmsg(fd, &msg, MSG_NOSIGNAL);\n"
                 "}\n")
         self.assertEqual([], rules_fired(good, "src/net/client.cc"))
-
-
-class CardUnboundedCacheTest(unittest.TestCase):
-    def test_member_push_without_check_fires(self):
-        bad = "void F() { obs_.push_back(std::move(sample)); }"
-        self.assertIn("card-unbounded-cache",
-                      rules_fired(bad, "src/card/card_cache.cc"))
-
-    def test_deque_and_emplace_variants_fire(self):
-        for call in ("window_.emplace_back(q)",
-                     "lru_.push_front(sig)",
-                     "history_.push_back(snap)"):
-            self.assertIn("card-unbounded-cache",
-                          rules_fired(f"void F() {{ {call}; }}",
-                                      "src/card/feedback.cc"),
-                          msg=call)
-
-    def test_eviction_check_dominates_ok(self):
-        good = """
-        void F() {
-          while (entries_.size() >= config_.max_signatures) { EvictOne(); }
-          lru_.push_front(sig);
-        }
-        """
-        self.assertEqual([], rules_fired(good, "src/card/card_cache.cc"))
-
-    def test_named_constant_bound_ok(self):
-        good = """
-        void F() {
-          if (window_.size() < kMaxQErrorWindow) {
-            window_.push_back(q);
-          }
-        }
-        """
-        self.assertEqual([], rules_fired(good, "src/card/card_cache.cc"))
-
-    def test_check_outside_window_still_fires(self):
-        filler = "  touch();\n" * (qpp_lint.NET_CAPACITY_WINDOW_LINES + 1)
-        bad = ("void F() {\n"
-               "  if (obs_.size() >= config_.max_observations) return;\n"
-               f"{filler}"
-               "  obs_.push_back(std::move(sample));\n"
-               "}\n")
-        self.assertIn("card-unbounded-cache",
-                      rules_fired(bad, "src/card/card_cache.cc"))
-
-    def test_local_container_ok(self):
-        good = "void F() { std::vector<int> live; live.push_back(1); }"
-        self.assertEqual([], rules_fired(good, "src/card/card_cache.cc"))
-
-    def test_outside_src_card_exempt(self):
-        ok = "void F() { obs_.push_back(std::move(sample)); }"
-        self.assertEqual([], rules_fired(ok, "src/workload/runner.cc"))
-
-    def test_allow_with_bound_suppresses(self):
-        good = ("void F() {\n"
-                "  // qpp-lint: allow(card-unbounded-cache): growth bounded "
-                "by publish cadence\n"
-                "  history_.push_back(snap);\n"
-                "}\n")
-        self.assertEqual([], rules_fired(good, "src/card/feedback.cc"))
-
-
-class KdeUnboundedSampleTest(unittest.TestCase):
-    def test_member_push_without_check_fires(self):
-        bad = "void F() { data_.push_back(NumericView(v)); }"
-        self.assertIn("kde-unbounded-sample",
-                      rules_fired(bad, "src/kde/sample.cc"))
-
-    def test_deque_and_emplace_variants_fire(self):
-        for call in ("rows_.emplace_back(v)",
-                     "pending_.push_front(obs)",
-                     "history_.push_back(snap)"):
-            self.assertIn("kde-unbounded-sample",
-                          rules_fired(f"void F() {{ {call}; }}",
-                                      "src/kde/feedback.cc"),
-                          msg=call)
-
-    def test_reservoir_bound_dominates_ok(self):
-        good = """
-        void F() {
-          if (reservoir_.size() < config_.capacity) {
-            reservoir_.push_back(row);
-          }
-        }
-        """
-        self.assertEqual([], rules_fired(good, "src/kde/sample.cc"))
-
-    def test_named_constant_bound_ok(self):
-        good = """
-        void F() {
-          if (rows_.size() >= kMaxSampleRows) { return; }
-          rows_.push_back(row);
-        }
-        """
-        self.assertEqual([], rules_fired(good, "src/kde/sample.cc"))
-
-    def test_check_outside_window_still_fires(self):
-        filler = "  touch();\n" * (qpp_lint.NET_CAPACITY_WINDOW_LINES + 1)
-        bad = ("void F() {\n"
-               "  if (rows_.size() >= config_.capacity) return;\n"
-               f"{filler}"
-               "  rows_.push_back(row);\n"
-               "}\n")
-        self.assertIn("kde-unbounded-sample",
-                      rules_fired(bad, "src/kde/sample.cc"))
-
-    def test_local_container_ok(self):
-        good = ("void F() { std::vector<int64_t> reservoir; "
-                "reservoir.push_back(1); }")
-        self.assertEqual([], rules_fired(good, "src/kde/sample.cc"))
-
-    def test_outside_src_kde_exempt(self):
-        ok = "void F() { rows_.push_back(row); }"
-        self.assertEqual([], rules_fired(ok, "src/workload/runner.cc"))
-
-    def test_allow_with_bound_suppresses(self):
-        good = ("void F() {\n"
-                "  // qpp-lint: allow(kde-unbounded-sample): growth bounded "
-                "by publish cadence\n"
-                "  history_.push_back(snap);\n"
-                "}\n")
-        self.assertEqual([], rules_fired(good, "src/kde/feedback.cc"))
 
 
 class NetBlockingReactorTest(unittest.TestCase):

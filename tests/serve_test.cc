@@ -215,6 +215,10 @@ TEST(RegistryTest, SnapshotsAreImmutableAcrossPublishes) {
   EXPECT_EQ(snap->version, 1u);
   EXPECT_EQ(*snap->predictor->PredictLatencyMs(log.queries[0]), before);
   EXPECT_EQ(registry.Current()->version, 2u);
+  // ...and freed once its last holder lets go.
+  const std::weak_ptr<const serve::ModelVersion> first = snap;
+  snap.reset();
+  EXPECT_TRUE(first.expired());
 }
 
 TEST(ServiceTest, HotSwapUnderConcurrentPredictLoad) {
