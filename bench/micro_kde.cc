@@ -5,7 +5,7 @@
 // plus the per-estimate cost of consulting a KDE snapshot. Emits
 // BENCH_kde_accuracy.json for the telemetry job; the correlated-workload
 // hist/kde_warm p95 ratio is the acceptance gate enforced by
-// scripts/check_kde_baseline.py.
+// scripts/check_baselines.py.
 
 #include <benchmark/benchmark.h>
 

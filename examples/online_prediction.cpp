@@ -6,14 +6,15 @@
 //   - the online predictor, which builds plan-level models for the arriving
 //     query's sub-plans from the training data at prediction time and caches
 //     them for later arrivals.
-// It also demonstrates model materialization: the hybrid models are saved to
-// disk and reloaded, as a deployment would.
+// It also demonstrates model materialization: the operator-level models are
+// saved as a checksummed bundle and reloaded, as a deployment would.
 
 #include <cstdio>
 
 #include "catalog/database.h"
 #include "common/stats.h"
 #include "qpp/predictor.h"
+#include "serve/model_store.h"
 #include "tpch/dbgen.h"
 #include "workload/runner.h"
 #include "workload/templates.h"
@@ -82,12 +83,13 @@ int main() {
   std::printf("  online          %.1f%%\n",
               100.0 * MeanRelativeError(actual, online_pred));
 
-  // Model materialization: persist and reload the operator/hybrid models.
-  const std::string path = "/tmp/qpp_example_models.txt";
-  if (op_level->SaveModels(path).ok()) {
-    QueryPerformancePredictor reloaded;
-    if (reloaded.LoadModels(path).ok()) {
-      auto r = reloaded.PredictLatencyMs(test_log->queries.front());
+  // Model materialization: persist and reload the operator-level models as
+  // a checksummed bundle.
+  const std::string path = "/tmp/qpp_example_models.qppb";
+  if (serve::SaveModelBundle(*op_level, path).ok()) {
+    auto reloaded = serve::LoadModelBundle(path);
+    if (reloaded.ok()) {
+      auto r = reloaded->PredictLatencyMs(test_log->queries.front());
       std::printf("\nMaterialized models reloaded from %s; prediction %.2f ms\n",
                   path.c_str(), r.ok() ? *r : -1.0);
     }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <fstream>
 #include <sstream>
 #include <utility>
 
@@ -14,7 +13,6 @@ namespace qpp::card {
 namespace {
 
 constexpr BundleFormat kCacheFormat{"qpp-card-cache v1", "card cache bundle"};
-constexpr char kLogHeader[] = "# qpp card feedback v1";
 
 /// Squared L2 distance in log1p feature space.
 double FeatureDistance2(const std::array<double, 3>& a,
@@ -194,55 +192,6 @@ void LearnedCardinalityCache::Record(uint64_t signature, uint64_t class_hash,
                        MeanQErrorLocked(qerror_window_));
 }
 
-std::optional<double> LearnedCardinalityCache::EstimateRows(
-    const CardinalityQuery& query) const {
-  static obs::Counter* hit_counter =
-      obs::MetricsRegistry::Global()->GetCounter("card.cache.hits");
-  static obs::Counter* miss_counter =
-      obs::MetricsRegistry::Global()->GetCounter("card.cache.misses");
-  static obs::Counter* near_counter =
-      obs::MetricsRegistry::Global()->GetCounter("card.cache.near_misses");
-  if (query.signature == 0) return std::nullopt;
-  std::lock_guard<OrderedMutex> lock(mu_);
-  std::vector<const CardObservation*> candidates;
-  const auto it = entries_.find(query.signature);
-  if (it != entries_.end() && !it->second.obs.empty()) {
-    candidates.reserve(it->second.obs.size());
-    for (const CardObservation& o : it->second.obs) candidates.push_back(&o);
-    auto est = KnnEstimate(candidates, query.features, config_.knn_k,
-                           /*max_distance2=*/-1.0);
-    if (est.has_value()) {
-      hits_.fetch_add(1, std::memory_order_relaxed);
-      hit_counter->Increment();
-      return est;
-    }
-  }
-  if (config_.allow_near_miss && query.class_hash != 0) {
-    const auto cls = classes_.find(query.class_hash);
-    if (cls != classes_.end()) {
-      candidates.clear();
-      for (uint64_t sig : cls->second) {
-        if (sig == query.signature) continue;
-        const auto sib = entries_.find(sig);
-        if (sib == entries_.end()) continue;
-        for (const CardObservation& o : sib->second.obs) {
-          candidates.push_back(&o);
-        }
-      }
-      const double r = config_.near_miss_max_distance;
-      auto est = KnnEstimate(candidates, query.features, config_.knn_k, r * r);
-      if (est.has_value()) {
-        near_misses_.fetch_add(1, std::memory_order_relaxed);
-        near_counter->Increment();
-        return est;
-      }
-    }
-  }
-  misses_.fetch_add(1, std::memory_order_relaxed);
-  miss_counter->Increment();
-  return std::nullopt;
-}
-
 size_t LearnedCardinalityCache::size() const {
   std::lock_guard<OrderedMutex> lock(mu_);
   return entries_.size();
@@ -353,68 +302,6 @@ LearnedCardinalityCache::LoadFromFile(const std::string& path,
     }
   }
   return cache;
-}
-
-// ---------------------------------------------------------------------------
-// Durable append log
-
-Status AppendObservationToFile(uint64_t signature, uint64_t class_hash,
-                               const CardObservation& obs,
-                               const std::string& path) {
-  bool need_header = false;
-  {
-    std::ifstream probe(path, std::ios::binary);
-    need_header = !probe.is_open() ||
-                  probe.peek() == std::ifstream::traits_type::eof();
-  }
-  std::ofstream out(path, std::ios::binary | std::ios::app);
-  if (!out.is_open()) return Status::IOError("cannot open " + path);
-  if (need_header) out << kLogHeader << "\n";
-  std::ostringstream line;
-  line << "R|" << ChecksumHex(signature) << "|" << ChecksumHex(class_hash);
-  for (double f : obs.features) {
-    line << "|";
-    AppendDouble(&line, f);
-  }
-  line << "|";
-  AppendDouble(&line, obs.est_rows);
-  line << "|";
-  AppendDouble(&line, obs.actual_rows);
-  out << line.str() << "\n";
-  if (!out.good()) return Status::IOError("write failed: " + path);
-  return Status::OK();
-}
-
-Result<size_t> LoadObservationLog(const std::string& path,
-                                  LearnedCardinalityCache* cache) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in.is_open()) return Status::IOError("cannot open " + path);
-  std::string line;
-  if (!std::getline(in, line) || line != kLogHeader) {
-    return Status::IOError(path + ": not a qpp card feedback log");
-  }
-  size_t count = 0;
-  while (std::getline(in, line)) {
-    if (line.empty() || line[0] == '#') continue;
-    const std::vector<std::string> f = SplitPipe(line);
-    if (f.size() != 8 || f[0] != "R") {
-      return Status::IOError(path + ": malformed feedback line '" + line +
-                             "'");
-    }
-    uint64_t sig = 0;
-    uint64_t cls = 0;
-    QPP_ASSIGN_OR_RETURN(sig, ParseChecksumHex(f[1]));
-    QPP_ASSIGN_OR_RETURN(cls, ParseChecksumHex(f[2]));
-    std::array<double, 3> features{};
-    for (size_t i = 0; i < 3; ++i) {
-      QPP_ASSIGN_OR_RETURN(features[i], ParseDouble(f[i + 3], "feature"));
-    }
-    QPP_ASSIGN_OR_RETURN(const double est, ParseDouble(f[6], "est_rows"));
-    QPP_ASSIGN_OR_RETURN(const double act, ParseDouble(f[7], "actual_rows"));
-    cache->Record(sig, cls, features, est, act);
-    ++count;
-  }
-  return count;
 }
 
 }  // namespace qpp::card

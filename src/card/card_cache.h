@@ -77,13 +77,12 @@ class CardSnapshot {
 };
 
 /// \brief Bounded, thread-safe cardinality feedback store: LRU over plan
-/// signatures, a bounded observation window per signature, kNN smoothing
-/// over plan features inside (and, for near misses, across) signature
-/// buckets, and checksummed persistence in the common/bundle.h framing.
+/// signatures, a bounded observation window per signature, and checksummed
+/// persistence in the common/bundle.h framing. It answers no estimates
+/// itself: planners read the immutable CardSnapshot copies it makes (kNN
+/// smoothing inside and, for near misses, across signature buckets).
 ///
-/// All public methods are safe to call concurrently; lookups and records
-/// share one mutex (planning consults a published CardSnapshot instead when
-/// lock-free reads matter — see CardFeedbackLoop).
+/// All public methods are safe to call concurrently; they share one mutex.
 class LearnedCardinalityCache {
  public:
   explicit LearnedCardinalityCache(CardCacheConfig config = {});
@@ -96,10 +95,6 @@ class LearnedCardinalityCache {
               const std::array<double, 3>& features, double est_rows,
               double actual_rows);
 
-  /// kNN estimate for the query, or nullopt. Exact-signature hits never
-  /// apply the near-miss distance bound; class-level near misses do.
-  std::optional<double> EstimateRows(const CardinalityQuery& query) const;
-
   /// Signatures currently cached.
   size_t size() const;
   /// Observations across all signatures.
@@ -108,14 +103,7 @@ class LearnedCardinalityCache {
   /// (1.0 when empty — a perfect estimator's value).
   double WindowedQError() const;
 
-  // Relaxed loads: monotonic stats, no ordering with cache state implied.
-  uint64_t hits() const { return hits_.load(std::memory_order_relaxed); }
-  uint64_t misses() const {
-    return misses_.load(std::memory_order_relaxed);
-  }
-  uint64_t near_misses() const {
-    return near_misses_.load(std::memory_order_relaxed);
-  }
+  // Relaxed load: a monotonic stat, no ordering with cache state implied.
   uint64_t evictions() const {
     return evictions_.load(std::memory_order_relaxed);
   }
@@ -153,27 +141,11 @@ class LearnedCardinalityCache {
   std::unordered_map<uint64_t, std::vector<uint64_t>> classes_;
   std::deque<double> qerror_window_;                    // guarded by mu_
 
-  // Stat counters are bumped from the const lookup path, hence mutable.
-  mutable std::atomic<uint64_t> hits_{0};
-  mutable std::atomic<uint64_t> misses_{0};
-  mutable std::atomic<uint64_t> near_misses_{0};
   std::atomic<uint64_t> evictions_{0};
 };
 
 /// q-error of one estimate: max(est/actual, actual/est) with both sides
 /// floored at one row, so it is always finite and >= 1.
 double QError(double est_rows, double actual_rows);
-
-/// Appends one observation to a durable feedback log (creating the file
-/// with a header line when absent) — the serving-side append channel, the
-/// card analogue of workload/AppendRecordToFile.
-Status AppendObservationToFile(uint64_t signature, uint64_t class_hash,
-                               const CardObservation& obs,
-                               const std::string& path);
-
-/// Replays a log written by AppendObservationToFile into `cache`,
-/// returning the number of observations ingested.
-Result<size_t> LoadObservationLog(const std::string& path,
-                                  LearnedCardinalityCache* cache);
 
 }  // namespace qpp::card

@@ -67,12 +67,6 @@ Status CardFeedbackLoop::Ingest(const std::vector<Sample>& samples) {
   if (config_.publish_interval == 0 || n % config_.publish_interval == 0) {
     (void)PublishSnapshot();
   }
-  if (!config_.log_path.empty()) {
-    for (const Sample& s : samples) {
-      QPP_RETURN_NOT_OK(AppendObservationToFile(s.signature, s.class_hash,
-                                                s.obs, config_.log_path));
-    }
-  }
   return Status::OK();
 }
 

@@ -3,7 +3,6 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "card/card_cache.h"
@@ -18,9 +17,6 @@ struct CardFeedbackConfig {
   /// Harvested queries between automatic snapshot publishes
   /// (0 = publish after every harvest).
   size_t publish_interval = 8;
-  /// Durable append log for harvested observations (empty = disabled).
-  /// Written outside any cache lock; see AppendObservationToFile.
-  std::string log_path;
 };
 
 /// \brief Closes the estimate → execute → learn loop: harvests per-operator
@@ -59,8 +55,8 @@ class CardFeedbackLoop {
   /// Also called automatically every `publish_interval` harvested queries.
   uint64_t PublishSnapshot();
 
-  /// Direct access to the live cache (locked lookups; prefer snapshots on
-  /// planning hot paths).
+  /// The live cache: recording, stats and persistence. Estimates come from
+  /// CurrentSnapshot().
   LearnedCardinalityCache* cache() { return &cache_; }
   const LearnedCardinalityCache& cache() const { return cache_; }
 
@@ -78,8 +74,7 @@ class CardFeedbackLoop {
  private:
   struct Sample;
 
-  /// Records one harvested query's samples, publishes on cadence and
-  /// appends to the durable log.
+  /// Records one harvested query's samples and publishes on cadence.
   Status Ingest(const std::vector<Sample>& samples);
 
   CardFeedbackConfig config_;

@@ -89,11 +89,11 @@ Result<std::string> ReadBundlePayload(const std::string& path,
   return payload;
 }
 
-std::vector<std::string> SplitPipe(const std::string& line) {
+std::vector<std::string> SplitPipe(const std::string& line, char sep) {
   std::vector<std::string> fields;
   size_t start = 0;
   while (true) {
-    const size_t bar = line.find('|', start);
+    const size_t bar = line.find(sep, start);
     if (bar == std::string::npos) {
       fields.push_back(line.substr(start));
       break;

@@ -57,10 +57,10 @@ Result<std::string> ReadBundlePayload(const std::string& path,
                                       const BundleFormat& format,
                                       const std::vector<std::string>& keys = {});
 
-// Helpers for the '|'-separated line payloads of the card and KDE bundles.
+// Helpers for the '|'- and space-separated line payloads of the bundles.
 
-/// Splits on '|' ("a||b" yields three fields, "" yields one empty field).
-std::vector<std::string> SplitPipe(const std::string& line);
+/// Splits on `sep` ("a||b" yields three fields, "" yields one empty field).
+std::vector<std::string> SplitPipe(const std::string& line, char sep = '|');
 
 /// Parses the whole of `s` as a double; `what` names the field in errors.
 Result<double> ParseDouble(const std::string& s, const char* what);

@@ -170,7 +170,6 @@ Result<ExecutionResult> ExecutePlan(PlanNode* root, Database* db,
   if (options.collect_trace) {
     result.trace = obs::BuildTrace(*root);
   }
-  if (options.on_complete) options.on_complete(*root);
   return result;
 }
 

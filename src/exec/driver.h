@@ -1,6 +1,5 @@
 #pragma once
 
-#include <functional>
 #include <optional>
 #include <vector>
 
@@ -38,11 +37,6 @@ struct ExecutionOptions {
   /// instrumented executor records anyway — no extra clock reads on the
   /// tuple path either way, only the span assembly is skipped.
   bool collect_trace = false;
-  /// Called once after a successful run, with every node's PlanActuals
-  /// filled — the hook the cardinality feedback harvester attaches to
-  /// (card::CardFeedbackLoop::HarvestPlan). Runs strictly after execution;
-  /// adds nothing to the tuple path. May be null.
-  std::function<void(const PlanNode&)> on_complete;
 };
 
 /// Result of one query execution.

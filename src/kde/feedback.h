@@ -36,8 +36,8 @@ struct KdeFeedbackConfig {
 /// Wiring: BuildFromDatabase (or LoadFromFile) populates the models and
 /// publishes a cold snapshot; attach a KdeCardinalityEstimator to the
 /// optimizer to consult it; feed executed plans back through HarvestPlan
-/// (or records through HarvestRecord / serve::FeedbackConfig::kde_feedback)
-/// to tune bandwidths.
+/// (or records, e.g. each one RunWorkload returns or the serving path
+/// receives, through HarvestRecord) to tune bandwidths.
 class KdeFeedbackLoop {
  public:
   explicit KdeFeedbackLoop(KdeFeedbackConfig config = {});

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <sstream>
 
+#include "common/bundle.h"
 #include "common/stats.h"
 
 namespace qpp {
@@ -129,14 +130,20 @@ std::string LinearRegression::Serialize() const {
 Result<std::unique_ptr<RegressionModel>> LinearRegression::Deserialize(
     const std::vector<std::string>& fields) {
   if (fields.size() < 4) return Status::InvalidArgument("bad linreg payload");
-  auto model = std::make_unique<LinearRegression>(std::stod(fields[1]));
-  model->intercept_ = std::stod(fields[2]);
-  const size_t d = std::stoul(fields[3]);
-  if (fields.size() != 4 + d) {
+  QPP_ASSIGN_OR_RETURN(const double lambda,
+                       ParseDouble(fields[1], "linreg lambda"));
+  auto model = std::make_unique<LinearRegression>(lambda);
+  QPP_ASSIGN_OR_RETURN(model->intercept_,
+                       ParseDouble(fields[2], "linreg intercept"));
+  QPP_ASSIGN_OR_RETURN(const uint64_t d, ParseU64(fields[3], "linreg width"));
+  if (fields.size() - 4 != d) {
     return Status::InvalidArgument("bad linreg coefficient count");
   }
   model->coef_.resize(d);
-  for (size_t j = 0; j < d; ++j) model->coef_[j] = std::stod(fields[4 + j]);
+  for (size_t j = 0; j < d; ++j) {
+    QPP_ASSIGN_OR_RETURN(model->coef_[j],
+                         ParseDouble(fields[4 + j], "linreg coefficient"));
+  }
   model->fitted_ = true;
   return std::unique_ptr<RegressionModel>(std::move(model));
 }

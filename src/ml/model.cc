@@ -1,7 +1,6 @@
 #include "ml/model.h"
 
-#include <sstream>
-
+#include "common/bundle.h"
 #include "ml/linreg.h"
 #include "ml/svr.h"
 
@@ -27,11 +26,8 @@ std::unique_ptr<RegressionModel> MakeModel(ModelType type) {
 
 Result<std::unique_ptr<RegressionModel>> DeserializeModel(
     const std::string& text) {
-  std::vector<std::string> fields;
-  std::stringstream ss(text);
-  std::string field;
-  while (std::getline(ss, field, '|')) fields.push_back(field);
-  if (fields.empty()) return Status::InvalidArgument("empty model payload");
+  if (text.empty()) return Status::InvalidArgument("empty model payload");
+  const std::vector<std::string> fields = SplitPipe(text);
   if (fields[0] == "linreg") return LinearRegression::Deserialize(fields);
   if (fields[0] == "svr") return SvRegression::Deserialize(fields);
   return Status::InvalidArgument("unknown model family: " + fields[0]);

@@ -7,6 +7,8 @@
 #include <sstream>
 #include <unordered_map>
 
+#include "common/bundle.h"
+
 namespace qpp {
 namespace {
 
@@ -224,34 +226,43 @@ std::string SvRegression::Serialize() const {
 Result<std::unique_ptr<RegressionModel>> SvRegression::Deserialize(
     const std::vector<std::string>& fields) {
   if (fields.size() < 9) return Status::InvalidArgument("bad svr payload");
+  QPP_ASSIGN_OR_RETURN(const uint64_t kernel, ParseU64(fields[1], "svr kernel"));
+  if (kernel > static_cast<uint64_t>(KernelType::kLinear)) {
+    return Status::InvalidArgument("bad svr kernel " + fields[1]);
+  }
   SvrConfig cfg;
-  cfg.kernel = static_cast<KernelType>(std::stoi(fields[1]));
-  cfg.c = std::stod(fields[2]);
-  cfg.epsilon = std::stod(fields[3]);
+  cfg.kernel = static_cast<KernelType>(kernel);
+  QPP_ASSIGN_OR_RETURN(cfg.c, ParseDouble(fields[2], "svr c"));
+  QPP_ASSIGN_OR_RETURN(cfg.epsilon, ParseDouble(fields[3], "svr epsilon"));
   auto model = std::make_unique<SvRegression>(cfg);
-  model->gamma_ = std::stod(fields[4]);
-  model->y_min_ = std::stod(fields[5]);
-  model->y_range_ = std::stod(fields[6]);
-  const size_t d = std::stoul(fields[7]);
-  const size_t sv = std::stoul(fields[8]);
-  const size_t expected = 9 + 2 * d + sv * (1 + d);
-  if (fields.size() != expected) {
+  QPP_ASSIGN_OR_RETURN(model->gamma_, ParseDouble(fields[4], "svr gamma"));
+  QPP_ASSIGN_OR_RETURN(model->y_min_, ParseDouble(fields[5], "svr y_min"));
+  QPP_ASSIGN_OR_RETURN(model->y_range_, ParseDouble(fields[6], "svr y_range"));
+  QPP_ASSIGN_OR_RETURN(const uint64_t d, ParseU64(fields[7], "svr width"));
+  QPP_ASSIGN_OR_RETURN(const uint64_t sv, ParseU64(fields[8], "svr count"));
+  // Bounded by the field count first, so the product cannot wrap.
+  if (d > fields.size() || sv > fields.size() ||
+      fields.size() != 9 + 2 * d + sv * (1 + d)) {
     return Status::InvalidArgument("bad svr payload size");
   }
   size_t pos = 9;
+  const auto next = [&fields, &pos] {
+    return ParseDouble(fields[pos++], "svr value");
+  };
   model->feat_min_.resize(d);
-  for (size_t j = 0; j < d; ++j) model->feat_min_[j] = std::stod(fields[pos++]);
-  model->feat_range_.resize(d);
-  for (size_t j = 0; j < d; ++j) {
-    model->feat_range_[j] = std::stod(fields[pos++]);
+  for (double& x : model->feat_min_) {
+    QPP_ASSIGN_OR_RETURN(x, next());
   }
-  model->support_.resize(sv);
+  model->feat_range_.resize(d);
+  for (double& x : model->feat_range_) {
+    QPP_ASSIGN_OR_RETURN(x, next());
+  }
+  model->support_.assign(sv, std::vector<double>(d));
   model->beta_.resize(sv);
   for (size_t i = 0; i < sv; ++i) {
-    model->beta_[i] = std::stod(fields[pos++]);
-    model->support_[i].resize(d);
-    for (size_t j = 0; j < d; ++j) {
-      model->support_[i][j] = std::stod(fields[pos++]);
+    QPP_ASSIGN_OR_RETURN(model->beta_[i], next());
+    for (double& x : model->support_[i]) {
+      QPP_ASSIGN_OR_RETURN(x, next());
     }
   }
   model->fitted_ = true;

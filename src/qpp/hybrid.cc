@@ -5,6 +5,7 @@
 #include <set>
 #include <sstream>
 
+#include "common/bundle.h"
 #include "common/stats.h"
 #include "common/thread_pool.h"
 
@@ -227,8 +228,12 @@ Result<HybridModel> HybridModel::Deserialize(const std::string& text,
   }
   while (std::getline(in, line) && line != "=== endhybrid") {
     if (line.rfind("errors ", 0) == 0) {
-      std::istringstream es(line.substr(7));
-      es >> hybrid.initial_error_ >> hybrid.final_error_;
+      const std::vector<std::string> f = SplitPipe(line.substr(7), ' ');
+      if (f.size() != 2) return Status::InvalidArgument("bad errors line");
+      QPP_ASSIGN_OR_RETURN(hybrid.initial_error_,
+                           ParseDouble(f[0], "initial error"));
+      QPP_ASSIGN_OR_RETURN(hybrid.final_error_,
+                           ParseDouble(f[1], "final error"));
     } else if (line == "=== ops" || line == "=== plan") {
       const bool is_ops = line == "=== ops";
       std::string payload;

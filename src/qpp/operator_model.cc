@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <sstream>
 
+#include "common/bundle.h"
 #include "common/thread_pool.h"
 
 namespace qpp {
@@ -215,38 +216,34 @@ Result<OperatorModelSet> OperatorModelSet::Deserialize(const std::string& text) 
   if (!std::getline(in, line) || line != "opmodelset") {
     return Status::InvalidArgument("not an operator model payload");
   }
-  int current = -1;
+  TypeModels* tm = nullptr;  // the optype section being read
   while (std::getline(in, line)) {
     if (line.rfind("mode ", 0) == 0) {
-      set.config_.train_mode = static_cast<FeatureMode>(std::stoi(line.substr(5)));
+      QPP_ASSIGN_OR_RETURN(set.config_.train_mode,
+                           ParseFeatureMode(line.substr(5)));
     } else if (line.rfind("optype ", 0) == 0) {
-      current = std::stoi(line.substr(7));
-      if (current < 0 || current >= kNumPlanOps) {
+      QPP_ASSIGN_OR_RETURN(const uint64_t t, ParseU64(line.substr(7), "optype"));
+      if (t >= static_cast<uint64_t>(kNumPlanOps)) {
         return Status::InvalidArgument("bad optype");
       }
-    } else if (current >= 0 && line.rfind("max_targets ", 0) == 0) {
-      std::istringstream ts(line.substr(12));
-      ts >> set.models_[static_cast<size_t>(current)].max_start_target >>
-          set.models_[static_cast<size_t>(current)].max_run_target;
-    } else if (current >= 0 && line.rfind("start_features", 0) == 0) {
-      std::istringstream fs(line.substr(14));
-      int idx;
-      while (fs >> idx) {
-        set.models_[static_cast<size_t>(current)].start_features.push_back(idx);
-      }
-    } else if (current >= 0 && line.rfind("start_model ", 0) == 0) {
-      QPP_ASSIGN_OR_RETURN(
-          set.models_[static_cast<size_t>(current)].start_model,
-          DeserializeModel(line.substr(12)));
-    } else if (current >= 0 && line.rfind("run_features", 0) == 0) {
-      std::istringstream fs(line.substr(12));
-      int idx;
-      while (fs >> idx) {
-        set.models_[static_cast<size_t>(current)].run_features.push_back(idx);
-      }
-    } else if (current >= 0 && line.rfind("run_model ", 0) == 0) {
-      QPP_ASSIGN_OR_RETURN(set.models_[static_cast<size_t>(current)].run_model,
-                           DeserializeModel(line.substr(10)));
+      tm = &set.models_[t];
+    } else if (tm != nullptr && line.rfind("max_targets ", 0) == 0) {
+      const std::vector<std::string> f = SplitPipe(line.substr(12), ' ');
+      if (f.size() != 2) return Status::InvalidArgument("bad max_targets");
+      QPP_ASSIGN_OR_RETURN(tm->max_start_target,
+                           ParseDouble(f[0], "max start target"));
+      QPP_ASSIGN_OR_RETURN(tm->max_run_target,
+                           ParseDouble(f[1], "max run target"));
+    } else if (tm != nullptr && line.rfind("start_features", 0) == 0) {
+      QPP_ASSIGN_OR_RETURN(tm->start_features,
+                           ParseFeatureIndexes(line.substr(14)));
+    } else if (tm != nullptr && line.rfind("start_model ", 0) == 0) {
+      QPP_ASSIGN_OR_RETURN(tm->start_model, DeserializeModel(line.substr(12)));
+    } else if (tm != nullptr && line.rfind("run_features", 0) == 0) {
+      QPP_ASSIGN_OR_RETURN(tm->run_features,
+                           ParseFeatureIndexes(line.substr(12)));
+    } else if (tm != nullptr && line.rfind("run_model ", 0) == 0) {
+      QPP_ASSIGN_OR_RETURN(tm->run_model, DeserializeModel(line.substr(10)));
     }
   }
   set.trained_ = true;

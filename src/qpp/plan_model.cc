@@ -2,6 +2,7 @@
 
 #include <sstream>
 
+#include "common/bundle.h"
 #include "ml/validation.h"
 
 namespace qpp {
@@ -83,14 +84,13 @@ Result<PlanLevelModel> PlanLevelModel::Deserialize(const std::string& text) {
     if (line.rfind("key ", 0) == 0) {
       m.structural_key_ = line.substr(4);
     } else if (line.rfind("cv_error ", 0) == 0) {
-      m.cv_error_ = std::stod(line.substr(9));
+      QPP_ASSIGN_OR_RETURN(m.cv_error_,
+                           ParseDouble(line.substr(9), "plan cv_error"));
     } else if (line.rfind("mode ", 0) == 0) {
-      m.config_.feature_mode =
-          static_cast<FeatureMode>(std::stoi(line.substr(5)));
+      QPP_ASSIGN_OR_RETURN(m.config_.feature_mode,
+                           ParseFeatureMode(line.substr(5)));
     } else if (line.rfind("features", 0) == 0) {
-      std::istringstream fs(line.substr(8));
-      int idx;
-      while (fs >> idx) m.selected_.push_back(idx);
+      QPP_ASSIGN_OR_RETURN(m.selected_, ParseFeatureIndexes(line.substr(8)));
     } else if (line.rfind("model ", 0) == 0) {
       QPP_ASSIGN_OR_RETURN(m.model_, DeserializeModel(line.substr(6)));
     }

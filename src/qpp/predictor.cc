@@ -1,8 +1,8 @@
 #include "qpp/predictor.h"
 
-#include <fstream>
 #include <sstream>
 
+#include "common/bundle.h"
 #include "ml/linreg.h"
 
 namespace qpp {
@@ -169,13 +169,13 @@ Status QueryPerformancePredictor::LoadModelsFromText(
   if (!std::getline(in, line) || line.rfind("method ", 0) != 0) {
     return Status::IOError(source_name + ": missing method line");
   }
-  const int method_int = std::atoi(line.c_str() + 7);
-  if (method_int < static_cast<int>(PredictionMethod::kOptimizerCost) ||
-      method_int > static_cast<int>(PredictionMethod::kOnline)) {
+  QPP_ASSIGN_OR_RETURN(const uint64_t method,
+                       ParseU64(line.substr(7), "prediction method"));
+  if (method > static_cast<uint64_t>(PredictionMethod::kOnline)) {
     return Status::IOError(source_name + ": unknown prediction method " +
-                           std::to_string(method_int));
+                           line.substr(7));
   }
-  config_.method = static_cast<PredictionMethod>(method_int);
+  config_.method = static_cast<PredictionMethod>(method);
   trained_ = false;
   online_.reset();
   cost_baseline_.reset();
@@ -183,8 +183,8 @@ Status QueryPerformancePredictor::LoadModelsFromText(
   bool have_log = false;
   while (std::getline(in, line)) {
     if (line.rfind("feature_mode ", 0) == 0) {
-      config_.feature_mode =
-          static_cast<FeatureMode>(std::atoi(line.c_str() + 13));
+      QPP_ASSIGN_OR_RETURN(config_.feature_mode,
+                           ParseFeatureMode(line.substr(13)));
     } else if (line.rfind("costmodel ", 0) == 0) {
       QPP_ASSIGN_OR_RETURN(cost_baseline_, DeserializeModel(line.substr(10)));
     } else if (line == "hybridmodel v1") {
@@ -267,23 +267,6 @@ Status QueryPerformancePredictor::LoadModelsFromText(
   }
   trained_ = true;
   return Status::OK();
-}
-
-Status QueryPerformancePredictor::SaveModels(const std::string& path) const {
-  QPP_ASSIGN_OR_RETURN(const std::string text, SerializeModels());
-  std::ofstream out(path);
-  if (!out.is_open()) return Status::IOError("cannot open " + path);
-  out << text;
-  if (!out.good()) return Status::IOError("write failed: " + path);
-  return Status::OK();
-}
-
-Status QueryPerformancePredictor::LoadModels(const std::string& path) {
-  std::ifstream in(path);
-  if (!in.is_open()) return Status::IOError("cannot open " + path);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return LoadModelsFromText(buf.str(), path);
 }
 
 }  // namespace qpp

@@ -47,9 +47,9 @@ struct PredictorConfig {
 ///   double ms = *predictor.PredictLatencyMs(record_of_new_plan);
 ///
 /// PredictLatencyMs is const and safe to call from multiple threads on a
-/// predictor that is no longer being mutated (Train/LoadModels complete);
-/// the serving layer (serve/registry.h) relies on exactly this to share
-/// immutable predictor snapshots across request threads.
+/// predictor that is no longer being mutated (Train/LoadModelsFromText
+/// complete); the serving layer (serve/registry.h) relies on exactly this
+/// to share immutable predictor snapshots across request threads.
 class QueryPerformancePredictor {
  public:
   QueryPerformancePredictor() = default;
@@ -82,24 +82,18 @@ class QueryPerformancePredictor {
   /// Underlying hybrid stack (operator + plan models), for inspection.
   const HybridModel& hybrid() const { return hybrid_; }
 
-  /// Serializes the materialized models to text (the payload SaveModels
-  /// writes). Every method is supported; kOnline persists its operator
-  /// models plus the training log, from which sub-plan models are rebuilt
-  /// deterministically on demand after loading.
+  /// Serializes the materialized models to text, the payload of the
+  /// checksummed bundle serve::SaveModelBundle writes (paper Sec. 3's
+  /// materialization). Every method is supported; kOnline persists its
+  /// operator models plus the training log, from which sub-plan models are
+  /// rebuilt deterministically on demand after loading.
   Result<std::string> SerializeModels() const;
 
   /// Restores models from SerializeModels() output. `source_name` labels
-  /// parse errors (a file path, "<memory>", ...).
+  /// parse errors (a file path, "<memory>", ...). A malformed payload is an
+  /// error, never an exception.
   Status LoadModelsFromText(const std::string& text,
                             const std::string& source_name = "<memory>");
-
-  /// Persists the materialized models so future sessions (or other
-  /// processes — see serve/model_store.h for the checksummed bundle format)
-  /// can predict without retraining.
-  Status SaveModels(const std::string& path) const;
-
-  /// Restores models persisted by SaveModels.
-  Status LoadModels(const std::string& path);
 
  private:
   PredictorConfig config_;

@@ -5,9 +5,7 @@
 #include <thread>
 #include <utility>
 
-#include "card/feedback.h"
 #include "common/stats.h"
-#include "kde/feedback.h"
 #include "obs/metrics.h"
 
 namespace qpp::serve {
@@ -97,10 +95,8 @@ Status FeedbackLoop::Observe(const QueryRecord& executed) {
       for (double e : window_) total += e;
       WindowedErrGauge()->Set(total / static_cast<double>(window_.size()));
     }
-    corpus_.queries.push_back(executed);
-    while (corpus_.queries.size() > config_.max_retained_queries) {
-      corpus_.queries.erase(corpus_.queries.begin());
-    }
+    corpus_.push_back(executed);
+    while (corpus_.size() > config_.max_retained_queries) corpus_.pop_front();
     retrain_corpus = MaybeBeginRetrainLocked();
   }
   if (retrain_corpus.has_value()) {
@@ -110,15 +106,6 @@ Status FeedbackLoop::Observe(const QueryRecord& executed) {
         });
     std::lock_guard<OrderedMutex> lock(mu_);
     retrain_future_ = std::move(future);
-  }
-  // Cardinality harvest runs outside mu_: the card loop locks internally,
-  // and holding both would order this loop's mutex before the cache's on
-  // every observation for no benefit.
-  if (config_.card_feedback != nullptr) {
-    QPP_RETURN_NOT_OK(config_.card_feedback->HarvestRecord(executed));
-  }
-  if (config_.kde_feedback != nullptr) {
-    QPP_RETURN_NOT_OK(config_.kde_feedback->HarvestRecord(executed));
   }
   if (!config_.log_path.empty()) {
     return AppendRecordToFile(executed, config_.log_path);
@@ -141,7 +128,7 @@ size_t FeedbackLoop::window_fill() const {
 
 size_t FeedbackLoop::corpus_size() const {
   std::lock_guard<OrderedMutex> lock(mu_);
-  return corpus_.queries.size();
+  return corpus_.size();
 }
 
 Status FeedbackLoop::last_retrain_status() const {
@@ -154,7 +141,7 @@ std::optional<QueryLog> FeedbackLoop::MaybeBeginRetrainLocked() {
   // a gate against double-triggering.
   if (retrain_in_flight_.load(std::memory_order_relaxed)) return std::nullopt;
   if (window_.size() < config_.min_observations) return std::nullopt;
-  if (corpus_.queries.size() < config_.min_retrain_queries) return std::nullopt;
+  if (corpus_.size() < config_.min_retrain_queries) return std::nullopt;
   double total = 0.0;
   for (double e : window_) total += e;
   const double mean = total / static_cast<double>(window_.size());
@@ -165,7 +152,9 @@ std::optional<QueryLog> FeedbackLoop::MaybeBeginRetrainLocked() {
   RetrainsTriggeredCounter()->Increment();
   // Snapshot the corpus for the background task; training works on the
   // copy, so Observe keeps accumulating meanwhile.
-  return corpus_;
+  QueryLog snapshot;
+  snapshot.queries.assign(corpus_.begin(), corpus_.end());
+  return snapshot;
 }
 
 Status FeedbackLoop::RetrainAndPublish(QueryLog corpus) {

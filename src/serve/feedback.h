@@ -12,14 +12,6 @@
 #include "common/thread_pool.h"
 #include "serve/registry.h"
 
-namespace qpp::card {
-class CardFeedbackLoop;
-}  // namespace qpp::card
-
-namespace qpp::kde {
-class KdeFeedbackLoop;
-}  // namespace qpp::kde
-
 namespace qpp::serve {
 
 /// Tuning of the feedback/retrain loop.
@@ -41,18 +33,6 @@ struct FeedbackConfig {
   std::string log_path;
   /// Model stack used for retrains.
   PredictorConfig retrain_config;
-  /// When non-null, every observed record is also harvested into the
-  /// learned-cardinality feedback loop (card/feedback.h) — the serving
-  /// loop's estimate→execute→learn side channel. Called outside this
-  /// loop's mutex (CardFeedbackLoop has its own locking). Borrowed; must
-  /// outlive this loop.
-  card::CardFeedbackLoop* card_feedback = nullptr;
-  /// When non-null, every observed record is also harvested into the KDE
-  /// bandwidth-tuning loop (kde/feedback.h) — only records whose operators
-  /// carry predicate-bounds "B" lines contribute. Same contract as
-  /// card_feedback: called outside this loop's mutex, borrowed, must
-  /// outlive this loop.
-  kde::KdeFeedbackLoop* kde_feedback = nullptr;
 };
 
 /// \brief Drift detection and feedback-driven retraining (the loop the
@@ -120,7 +100,9 @@ class FeedbackLoop {
 
   mutable OrderedMutex mu_;
   std::deque<double> window_;        // guarded by mu_
-  QueryLog corpus_;                  // guarded by mu_
+  /// Retrain corpus, oldest first; copied into a QueryLog when a retrain
+  /// starts.
+  std::deque<QueryRecord> corpus_;   // guarded by mu_
   Status last_retrain_status_;       // guarded by mu_
   std::future<Status> retrain_future_;  // guarded by mu_
 

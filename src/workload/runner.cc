@@ -28,10 +28,7 @@ Result<QueryLog> RunWorkload(Database* db, const WorkloadConfig& config) {
       if (config.timeout_ms > 0 && res.latency_ms > config.timeout_ms) {
         continue;  // over the cap: dropped, like the paper's one-hour limit
       }
-      QueryRecord record = RecordFromPlan(plan, res.latency_ms);
-      if (config.on_record) config.on_record(record);
-      log.queries.push_back(std::move(record));
-      if (config.on_query) config.on_query(template_id, i, res.latency_ms);
+      log.queries.push_back(RecordFromPlan(plan, res.latency_ms));
     }
   }
   return log;

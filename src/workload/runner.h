@@ -1,6 +1,5 @@
 #pragma once
 
-#include <functional>
 #include <vector>
 
 #include "catalog/database.h"
@@ -25,15 +24,10 @@ struct WorkloadConfig {
   /// Skip recording queries slower than this (0 = no timeout), the analogue
   /// of the paper's one-hour cap.
   double timeout_ms = 0.0;
-  /// Progress callback (template id, query index, latency ms); may be null.
-  std::function<void(int, int, double)> on_query;
   /// Cardinality backend attached to the workload's optimizer (null keeps
   /// the histogram baseline and planning bit-identical; see
   /// optimizer/cardinality.h). Borrowed; must outlive the run.
   const CardinalityEstimator* cardinality_estimator = nullptr;
-  /// Called with each recorded query (actuals filled, before it is added to
-  /// the log) — the hook feedback harvesters attach to. May be null.
-  std::function<void(const QueryRecord&)> on_record;
 };
 
 /// Generates, optimizes and executes the workload against the database,

@@ -74,6 +74,11 @@ std::unique_ptr<Database> CardTest::db_;
 
 std::array<double, 3> F(double a, double b, double c) { return {a, b, c}; }
 
+/// The cache's current contents as planners read them.
+std::shared_ptr<const CardSnapshot> Snap(const LearnedCardinalityCache& c) {
+  return c.MakeSnapshot(/*version=*/1);
+}
+
 CardinalityQuery Q(uint64_t sig, uint64_t cls, std::array<double, 3> f,
                    double hist = 100.0) {
   CardinalityQuery q;
@@ -213,11 +218,9 @@ TEST_F(CardTest, QErrorBasics) {
 TEST_F(CardTest, CacheExactHitReturnsLearnedRows) {
   LearnedCardinalityCache cache;
   cache.Record(42, 7, F(1, 2, 3), /*est=*/100, /*actual=*/1000);
-  auto got = cache.EstimateRows(Q(42, 7, F(1, 2, 3)));
+  auto got = Snap(cache)->EstimateRows(Q(42, 7, F(1, 2, 3)));
   ASSERT_TRUE(got.has_value());
   EXPECT_DOUBLE_EQ(*got, 1000.0);
-  EXPECT_EQ(cache.hits(), 1u);
-  EXPECT_EQ(cache.misses(), 0u);
 }
 
 TEST_F(CardTest, CacheKnnBlendsNeighbors) {
@@ -227,19 +230,30 @@ TEST_F(CardTest, CacheKnnBlendsNeighbors) {
   cache.Record(42, 7, F(1, 0, 0), 10, 8);
   cache.Record(42, 7, F(5, 0, 0), 10, 900);
   cache.Record(42, 7, F(9, 0, 0), 10, 100000);
-  auto lo = cache.EstimateRows(Q(42, 7, F(1, 0, 0)));
-  auto hi = cache.EstimateRows(Q(42, 7, F(9, 0, 0)));
+  const auto snap = Snap(cache);
+  auto lo = snap->EstimateRows(Q(42, 7, F(1, 0, 0)));
+  auto hi = snap->EstimateRows(Q(42, 7, F(9, 0, 0)));
   ASSERT_TRUE(lo.has_value() && hi.has_value());
   EXPECT_LT(*lo, *hi);
   EXPECT_LT(QError(*lo, 8), 3.0);
   EXPECT_LT(QError(*hi, 100000), 3.0);
+
+  // Two equidistant neighbors weigh the same: the blend is their mean in
+  // log1p space, the geometric mean of (actual + 1).
+  CardCacheConfig two;
+  two.knn_k = 2;
+  LearnedCardinalityCache pair(two);
+  pair.Record(42, 7, F(1, 0, 0), 10, 9);
+  pair.Record(42, 7, F(5, 0, 0), 10, 999);
+  auto mid = Snap(pair)->EstimateRows(Q(42, 7, F(3, 0, 0)));
+  ASSERT_TRUE(mid.has_value());
+  EXPECT_DOUBLE_EQ(*mid, 99.0);
 }
 
 TEST_F(CardTest, CacheMissReturnsNullopt) {
   LearnedCardinalityCache cache;
   cache.Record(42, 7, F(1, 2, 3), 100, 1000);
-  EXPECT_FALSE(cache.EstimateRows(Q(43, 8, F(1, 2, 3))).has_value());
-  EXPECT_EQ(cache.misses(), 1u);
+  EXPECT_FALSE(Snap(cache)->EstimateRows(Q(43, 8, F(1, 2, 3))).has_value());
 }
 
 TEST_F(CardTest, CacheNearMissBorrowsFromSameClass) {
@@ -247,19 +261,20 @@ TEST_F(CardTest, CacheNearMissBorrowsFromSameClass) {
   cfg.near_miss_max_distance = 1.0;
   LearnedCardinalityCache cache(cfg);
   cache.Record(42, 7, F(3, 3, 0), 100, 5000);
+  const auto snap = Snap(cache);
   // Unknown signature, same relation class, features within the bound.
-  auto near = cache.EstimateRows(Q(99, 7, F(3.1, 3.1, 0)));
+  auto near = snap->EstimateRows(Q(99, 7, F(3.1, 3.1, 0)));
   ASSERT_TRUE(near.has_value());
   EXPECT_DOUBLE_EQ(*near, 5000.0);
-  EXPECT_EQ(cache.near_misses(), 1u);
   // Same class but outside the distance bound: fall back to histogram.
-  EXPECT_FALSE(cache.EstimateRows(Q(99, 7, F(9, 9, 0))).has_value());
+  EXPECT_FALSE(snap->EstimateRows(Q(99, 7, F(9, 9, 0))).has_value());
 
   CardCacheConfig off = cfg;
   off.allow_near_miss = false;
   LearnedCardinalityCache strict(off);
   strict.Record(42, 7, F(3, 3, 0), 100, 5000);
-  EXPECT_FALSE(strict.EstimateRows(Q(99, 7, F(3.1, 3.1, 0))).has_value());
+  EXPECT_FALSE(
+      Snap(strict)->EstimateRows(Q(99, 7, F(3.1, 3.1, 0))).has_value());
 }
 
 TEST_F(CardTest, CacheEvictsLeastRecentlyRecordedSignature) {
@@ -273,13 +288,15 @@ TEST_F(CardTest, CacheEvictsLeastRecentlyRecordedSignature) {
   EXPECT_EQ(cache.size(), 4u);
   EXPECT_EQ(cache.evictions(), 6u);
   // Oldest signatures evicted, newest retained.
-  EXPECT_FALSE(cache.EstimateRows(Q(1, 1, F(1, 1, 0))).has_value());
-  EXPECT_TRUE(cache.EstimateRows(Q(10, 10, F(1, 1, 0))).has_value());
+  auto snap = Snap(cache);
+  EXPECT_FALSE(snap->EstimateRows(Q(1, 1, F(1, 1, 0))).has_value());
+  EXPECT_TRUE(snap->EstimateRows(Q(10, 10, F(1, 1, 0))).has_value());
   // Re-recording refreshes recency: 7 survives the next eviction, 8 goes.
   cache.Record(7, 7, F(1, 1, 0), 10, 20);
   cache.Record(11, 11, F(1, 1, 0), 10, 20);
-  EXPECT_TRUE(cache.EstimateRows(Q(7, 7, F(1, 1, 0))).has_value());
-  EXPECT_FALSE(cache.EstimateRows(Q(8, 8, F(1, 1, 0))).has_value());
+  snap = Snap(cache);
+  EXPECT_TRUE(snap->EstimateRows(Q(7, 7, F(1, 1, 0))).has_value());
+  EXPECT_FALSE(snap->EstimateRows(Q(8, 8, F(1, 1, 0))).has_value());
 }
 
 TEST_F(CardTest, CacheBoundsObservationsPerSignature) {
@@ -324,8 +341,8 @@ TEST_F(CardTest, PersistenceRoundTripIsByteIdentical) {
   EXPECT_EQ(SlurpFile(p1), SlurpFile(p2));
 
   // Loaded cache answers identically.
-  auto a = cache.EstimateRows(Q(7, 9, F(5.5, 0, 0)));
-  auto b = (*loaded)->EstimateRows(Q(7, 9, F(5.5, 0, 0)));
+  auto a = Snap(cache)->EstimateRows(Q(7, 9, F(5.5, 0, 0)));
+  auto b = Snap(**loaded)->EstimateRows(Q(7, 9, F(5.5, 0, 0)));
   ASSERT_TRUE(a.has_value() && b.has_value());
   EXPECT_DOUBLE_EQ(*a, *b);
 }
@@ -356,23 +373,6 @@ TEST_F(CardTest, LoadRejectsCorruptBundle) {
                    .ok());
 }
 
-TEST_F(CardTest, ObservationLogAppendsAndReplays) {
-  const std::string path = ::testing::TempDir() + "/card_feedback.log";
-  std::remove(path.c_str());
-  CardObservation o1{F(1, 2, 0), 10, 100};
-  CardObservation o2{F(3, 4, 0), 20, 200};
-  ASSERT_TRUE(AppendObservationToFile(42, 7, o1, path).ok());
-  ASSERT_TRUE(AppendObservationToFile(43, 7, o2, path).ok());
-  LearnedCardinalityCache cache;
-  auto n = LoadObservationLog(path, &cache);
-  ASSERT_TRUE(n.ok()) << n.status().ToString();
-  EXPECT_EQ(*n, 2u);
-  EXPECT_EQ(cache.size(), 2u);
-  auto got = cache.EstimateRows(Q(42, 7, F(1, 2, 0)));
-  ASSERT_TRUE(got.has_value());
-  EXPECT_DOUBLE_EQ(*got, 100.0);
-}
-
 // ---------------------------------------------------------------------------
 // Feedback loop: harvesting, snapshots, concurrency
 // ---------------------------------------------------------------------------
@@ -392,7 +392,8 @@ TEST_F(CardTest, HarvestPlanLearnsActualCardinalities) {
   const PlanNode& root = *plan->root;
   ASSERT_NE(root.card_signature, 0u);
   ASSERT_TRUE(root.actual.valid);
-  auto learned = loop.cache()->EstimateRows(
+  loop.PublishSnapshot();
+  auto learned = loop.CurrentSnapshot()->EstimateRows(
       Q(root.card_signature, root.card_class, root.card_features,
         root.est.rows));
   ASSERT_TRUE(learned.has_value());
@@ -416,8 +417,9 @@ TEST_F(CardTest, HarvestSkipsOperatorsBelowLimit) {
 
   CardFeedbackLoop loop;
   ASSERT_TRUE(loop.HarvestPlan(*root).ok());
+  loop.PublishSnapshot();
   // The truncated scan must not have been recorded.
-  EXPECT_FALSE(loop.cache()
+  EXPECT_FALSE(loop.CurrentSnapshot()
                    ->EstimateRows(Q(scan_sig, root->children[0]->card_class,
                                     root->children[0]->card_features))
                    .has_value());
@@ -440,14 +442,12 @@ TEST_F(CardTest, SnapshotPublishAndLockFreeLookup) {
   EXPECT_GE(snap->version(), 1u);
   EXPECT_GT(snap->size(), 0u);
 
-  // Snapshot and live cache agree.
+  // The published snapshot answers for the harvested root.
   const PlanNode& root = *plan->root;
   auto q = Q(root.card_signature, root.card_class, root.card_features,
              root.est.rows);
   auto from_snap = snap->EstimateRows(q);
-  auto from_cache = loop.cache()->EstimateRows(q);
-  ASSERT_TRUE(from_snap.has_value() && from_cache.has_value());
-  EXPECT_DOUBLE_EQ(*from_snap, *from_cache);
+  ASSERT_TRUE(from_snap.has_value());
 
   // A held snapshot stays valid after later publishes, and is freed once
   // its last holder lets go.
@@ -462,7 +462,7 @@ TEST_F(CardTest, SnapshotPublishAndLockFreeLookup) {
 
 TEST_F(CardTest, ConcurrentHarvestAndLookup) {
   // TSan target: writers harvest and publish while readers estimate through
-  // snapshots and the locked cache path concurrently.
+  // the published snapshots concurrently.
   CardFeedbackConfig cfg;
   cfg.publish_interval = 1;
   CardFeedbackLoop loop(cfg);
@@ -494,7 +494,6 @@ TEST_F(CardTest, ConcurrentHarvestAndLookup) {
         size_t hits = 0;
         for (int i = 0; i < kIters; ++i) {
           if (est.EstimateRows(query).has_value()) ++hits;
-          if (loop.cache()->EstimateRows(query).has_value()) ++hits;
         }
         EXPECT_GT(hits, 0u);
       });
@@ -520,10 +519,11 @@ TEST_F(CardTest, WarmedLearnedBackendReducesRootQError) {
   wc.seed = 5;
   wc.cold_start = false;
   wc.cardinality_estimator = &hist;
-  wc.on_record = [&loop](const QueryRecord& r) {
+  auto log = RunWorkload(db_.get(), wc);
+  ASSERT_TRUE(log.ok());
+  for (const QueryRecord& r : log->queries) {
     ASSERT_TRUE(loop.HarvestRecord(r).ok());
-  };
-  ASSERT_TRUE(RunWorkload(db_.get(), wc).ok());
+  }
   ASSERT_GT(loop.harvested_nodes(), 0u);
   loop.PublishSnapshot();
 

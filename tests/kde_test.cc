@@ -336,7 +336,7 @@ TEST_F(KdeTest, KdeBeatsHistogramOnCorrelatedPredicates) {
   const double hist_med = hist_q[hist_q.size() / 2];
   const double kde_med = kde_q[kde_q.size() / 2];
   // The acceptance bar (2x at p95) is enforced by bench/micro_kde +
-  // scripts/check_kde_baseline.py; here we pin the qualitative win.
+  // scripts/check_baselines.py; here we pin the qualitative win.
   EXPECT_LT(kde_med * 2.0, hist_med)
       << "kde median q-error " << kde_med << " vs histogram " << hist_med;
 }

@@ -214,6 +214,23 @@ TEST(ModelFactoryTest, MakesBothFamilies) {
   EXPECT_FALSE(DeserializeModel("").ok());
 }
 
+// Malformed numbers are errors, never exceptions or silent zeros; the valid
+// payloads beside them show each case fails for the field it breaks.
+TEST(ModelFactoryTest, MalformedNumbersAreErrors) {
+  EXPECT_TRUE(DeserializeModel("linreg|0|1|1|2").ok());
+  EXPECT_TRUE(DeserializeModel("svr|0|1|0.1|1|0|1|1|1|0|1|0.5|0").ok());
+  for (const char* text : {
+           "linreg|abc|0|0", "linreg|0|1|1|2x", "linreg|0|1|one|2",
+           "linreg|0|1|2|2",
+           "svr|2|1|0.1|1|0|1|1|1|0|1|0.5|0",   // kernel out of range
+           "svr|0|1|0.1|1|0|1|1|1|0|1|zz|0",    // bad dual coefficient
+           "svr|0|1|0.1|1|0|1|1|x|0|1|0.5|0",   // bad support count
+           // 9 + 2d + sv(1+d) wraps to the field count for d = 2^63, sv = 2.
+           "svr|0|1|0.1|1|0|1|9223372036854775808|2|0|0"}) {
+    EXPECT_FALSE(DeserializeModel(text).ok()) << text;
+  }
+}
+
 // ------------------------------- Validation ---------------------------------
 
 TEST(KFoldTest, PartitionsAllSamples) {

@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <memory>
 
 #include "catalog/database.h"
@@ -340,18 +339,65 @@ TEST_F(QppTest, PredictorModelMaterializationRoundTrip) {
   cfg.hybrid.min_occurrences = 6;
   QueryPerformancePredictor predictor(cfg);
   ASSERT_TRUE(predictor.Train(*log_).ok());
-  const std::string path = ::testing::TempDir() + "/qpp_models.txt";
-  ASSERT_TRUE(predictor.SaveModels(path).ok());
+  auto text = predictor.SerializeModels();
+  ASSERT_TRUE(text.ok());
 
   QueryPerformancePredictor restored(cfg);
-  ASSERT_TRUE(restored.LoadModels(path).ok());
+  ASSERT_TRUE(restored.LoadModelsFromText(*text).ok());
   for (const QueryRecord& q : log_->queries) {
     auto a = predictor.PredictLatencyMs(q);
     auto b = restored.PredictLatencyMs(q);
     ASSERT_TRUE(a.ok() && b.ok());
     EXPECT_NEAR(*a, *b, 1e-6);
   }
-  std::remove(path.c_str());
+}
+
+// Every number of a model payload is parsed strictly: a malformed one is an
+// error from LoadModelsFromText, never an exception or a silent zero.
+TEST_F(QppTest, MalformedModelPayloadNumbersAreErrors) {
+  const auto serialized = [](PredictionMethod method) {
+    PredictorConfig cfg;
+    cfg.method = method;
+    cfg.hybrid.max_iterations = 0;
+    QueryPerformancePredictor predictor(cfg);
+    EXPECT_TRUE(predictor.Train(*log_).ok());
+    return *predictor.SerializeModels();
+  };
+  // Replaces the first line starting with `prefix` by `line`.
+  const auto with_line = [](std::string text, const std::string& prefix,
+                            const std::string& line) {
+    const size_t at = text.find("\n" + prefix) + 1;
+    EXPECT_NE(at, 0u) << prefix;
+    text.replace(at, text.find('\n', at) - at, line);
+    return text;
+  };
+  const std::string ops = serialized(PredictionMethod::kOperatorLevel);
+  const std::string plan = serialized(PredictionMethod::kPlanLevel);
+  QueryPerformancePredictor ok;
+  ASSERT_TRUE(ok.LoadModelsFromText(ops).ok());
+  ASSERT_TRUE(ok.LoadModelsFromText(plan).ok());
+  const std::vector<std::pair<const std::string*, std::string>> cases = {
+      {&ops, "method x"},
+      {&ops, "method 9"},
+      {&ops, "feature_mode 2"},
+      {&ops, "errors 0.5 zero"},
+      {&ops, "mode -1"},
+      {&ops, "optype 3x"},
+      {&ops, "max_targets 1.5 2.5oops"},
+      {&ops, "max_targets 1.5"},
+      {&ops, "start_features 1 two"},
+      {&ops, "run_model linreg|0|abc|0"},
+      {&plan, "cv_error NaNa"},
+      {&plan, "features 1 -2"},
+      {&plan, "model svr|0|1|0.1|1|0|1|9223372036854775808|2|0|0"},
+  };
+  for (const auto& [text, line] : cases) {
+    const std::string prefix = line.substr(0, line.find(' ') + 1);
+    QueryPerformancePredictor restored;
+    EXPECT_FALSE(
+        restored.LoadModelsFromText(with_line(*text, prefix, line)).ok())
+        << line;
+  }
 }
 
 TEST_F(QppTest, OnlineModelsMaterializeViaEmbeddedLog) {
@@ -363,18 +409,17 @@ TEST_F(QppTest, OnlineModelsMaterializeViaEmbeddedLog) {
   cfg.hybrid.min_occurrences = 6;
   QueryPerformancePredictor predictor(cfg);
   ASSERT_TRUE(predictor.Train(*log_).ok());
-  const std::string path = ::testing::TempDir() + "/qpp_online_models.txt";
-  ASSERT_TRUE(predictor.SaveModels(path).ok());
+  auto text = predictor.SerializeModels();
+  ASSERT_TRUE(text.ok());
 
   QueryPerformancePredictor restored(cfg);
-  ASSERT_TRUE(restored.LoadModels(path).ok());
+  ASSERT_TRUE(restored.LoadModelsFromText(*text).ok());
   for (const QueryRecord& q : log_->queries) {
     auto a = predictor.PredictLatencyMs(q);
     auto b = restored.PredictLatencyMs(q);
     ASSERT_TRUE(a.ok() && b.ok());
     EXPECT_EQ(*a, *b);
   }
-  std::remove(path.c_str());
 }
 
 }  // namespace

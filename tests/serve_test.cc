@@ -14,6 +14,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/bundle.h"
 #include "common/checksum.h"
 #include "common/rng.h"
 #include "obs/metrics.h"
@@ -52,6 +53,12 @@ PredictorConfig QuickConfig(PredictionMethod method) {
 std::string TestDataDir() {
   const std::string file = __FILE__;
   return file.substr(0, file.find_last_of('/')) + "/testdata";
+}
+
+std::string Slurp(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
 }
 
 // ------------------------- persistence round-trips --------------------------
@@ -114,12 +121,7 @@ TEST(ModelStoreTest, CorruptionAndTruncationAreDetected) {
   ASSERT_TRUE(serve::SaveModelBundle(predictor, path).ok());
 
   // Flip one payload byte.
-  std::string content;
-  {
-    std::ifstream in(path, std::ios::binary);
-    content.assign(std::istreambuf_iterator<char>(in),
-                   std::istreambuf_iterator<char>());
-  }
+  const std::string content = Slurp(path);
   std::string corrupt = content;
   corrupt[corrupt.size() - 10] ^= 0x20;
   {
@@ -169,6 +171,11 @@ TEST(ModelStoreTest, GoldenBundleStillLoadsAndPredicts) {
   auto loaded = serve::LoadModelBundle(
       bundle_path, QuickConfig(PredictionMethod::kHybrid));
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  // The writer is pinned too: re-saving reproduces the committed bytes.
+  const std::string resaved = ::testing::TempDir() + "/golden_resaved.qppb";
+  ASSERT_TRUE(serve::SaveModelBundle(*loaded, resaved).ok());
+  EXPECT_EQ(Slurp(resaved), Slurp(bundle_path));
+  std::remove(resaved.c_str());
   std::ifstream exp(expected_path);
   ASSERT_TRUE(exp.is_open()) << "missing " << expected_path;
   for (const QueryRecord& q : probes.queries) {
@@ -178,6 +185,24 @@ TEST(ModelStoreTest, GoldenBundleStillLoadsAndPredicts) {
     ASSERT_TRUE(got.ok());
     EXPECT_NEAR(*got, want, std::abs(want) * 1e-9 + 1e-9);
   }
+}
+
+// A bundle whose checksum matches but whose payload holds a malformed number
+// loads as an error: the checksum guards transport, not the parser.
+TEST(ModelStoreTest, MalformedNumberWithValidChecksumIsAnError) {
+  const BundleFormat format{"qpp-model-bundle v1", "model bundle"};
+  auto payload = ReadBundlePayload(TestDataDir() + "/golden_hybrid.qppb",
+                                   format, {"method"});
+  ASSERT_TRUE(payload.ok()) << payload.status().ToString();
+  const std::string field = "start_model linreg|";
+  const size_t at = payload->find(field);
+  ASSERT_NE(at, std::string::npos);
+  payload->insert(at + field.size(), "x");  // "x9.99...e-07" is no number
+  const std::string path = ::testing::TempDir() + "/bundle_bad_number.qppb";
+  ASSERT_TRUE(WriteBundle(path, format, *payload, {{"method", "hybrid"}}).ok());
+  auto loaded = serve::LoadModelBundle(path);
+  EXPECT_FALSE(loaded.ok());
+  std::remove(path.c_str());
 }
 
 // ------------------------------ registry -----------------------------------
@@ -458,6 +483,22 @@ TEST(FeedbackTest, ObserveSurfacesAppendFailure) {
   // The in-memory pipeline still absorbed the record (corpus accumulation is
   // independent of the durable channel).
   EXPECT_EQ(loop.corpus_size(), 1u);
+}
+
+// Past max_retained_queries the oldest record leaves the retrain corpus for
+// each new one.
+TEST(FeedbackTest, CorpusStaysAtRetainedCap) {
+  ModelRegistry registry;  // no model: nothing is scored, nothing retrains
+  FeedbackConfig cfg;
+  cfg.max_retained_queries = 16;
+  FeedbackLoop loop(&registry, cfg);
+  const QueryLog log = SyntheticLog(static_cast<int>(cfg.max_retained_queries) + 9);
+  for (const QueryRecord& q : log.queries) {
+    ASSERT_TRUE(loop.Observe(q).ok());
+    EXPECT_LE(loop.corpus_size(), cfg.max_retained_queries);
+  }
+  EXPECT_EQ(loop.corpus_size(), cfg.max_retained_queries);
+  EXPECT_EQ(loop.retrains_triggered(), 0u);
 }
 
 // ------------------------------ admission ----------------------------------
