@@ -181,29 +181,42 @@ void BM_QErrorLearnedWarm(benchmark::State& state) {
 }
 BENCHMARK(BM_QErrorLearnedWarm);
 
-// Planning-time overhead of the learned backend: compile the same template
-// with no estimator attached vs consulting the warmed snapshot. The wall_ms
-// delta between these two is the acceptance bound ("no measurable planning
-// regression").
+// Planning time per template (state.range(0): 5, and 8 for the widest join
+// block, eight relations) with no estimator attached, with the histogram
+// backend (signature stamping plus one consult per split that always falls
+// back), and with the warmed learned snapshot. The wall-time deltas between
+// the three are the planning cost of the learned backend.
 
 void BM_PlanBaseline(benchmark::State& state) {
   Fixture& f = SharedFixture();
+  const int tid = static_cast<int>(state.range(0));
   for (auto _ : state) {
-    auto plan = CompileTemplate(f.db.get(), 5, 7, nullptr);
+    auto plan = CompileTemplate(f.db.get(), tid, 7, nullptr);
     benchmark::DoNotOptimize(plan);
   }
 }
-BENCHMARK(BM_PlanBaseline);
+BENCHMARK(BM_PlanBaseline)->Arg(5)->Arg(8)->Unit(benchmark::kMillisecond);
+
+void BM_PlanHistogram(benchmark::State& state) {
+  Fixture& f = SharedFixture();
+  const int tid = static_cast<int>(state.range(0));
+  for (auto _ : state) {
+    auto plan = CompileTemplate(f.db.get(), tid, 7, &f.histogram);
+    benchmark::DoNotOptimize(plan);
+  }
+}
+BENCHMARK(BM_PlanHistogram)->Arg(5)->Arg(8)->Unit(benchmark::kMillisecond);
 
 void BM_PlanLearnedWarm(benchmark::State& state) {
   Fixture& f = SharedFixture();
   card::LearnedCardinalityEstimator learned(f.loop.get());
+  const int tid = static_cast<int>(state.range(0));
   for (auto _ : state) {
-    auto plan = CompileTemplate(f.db.get(), 5, 7, &learned);
+    auto plan = CompileTemplate(f.db.get(), tid, 7, &learned);
     benchmark::DoNotOptimize(plan);
   }
 }
-BENCHMARK(BM_PlanLearnedWarm);
+BENCHMARK(BM_PlanLearnedWarm)->Arg(5)->Arg(8)->Unit(benchmark::kMillisecond);
 
 void BM_CacheLookup(benchmark::State& state) {
   Fixture& f = SharedFixture();
