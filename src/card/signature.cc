@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <vector>
 
 #include "common/checksum.h"
@@ -109,39 +110,6 @@ bool IsJoinKeyConjunct(
   return false;
 }
 
-// Shape of the join's residual predicate. For hash/merge joins the stored
-// predicate *is* the residual; a NestedLoopJoin executes its keys through
-// the predicate too, so the synthesized key-equality conjuncts are filtered
-// back out — all three physical joins of the same logical join normalize to
-// the same descriptor.
-std::string JoinResidualShape(const PlanNode& node) {
-  if (node.predicate == nullptr) return "";
-  if (node.op != PlanOp::kNestedLoopJoin) {
-    return NormalizePredicateShape(*node.predicate);
-  }
-  const auto key_names = JoinKeyNames(node);
-  std::vector<const Expr*> conjuncts;
-  if (node.predicate->kind() == Expr::Kind::kAnd) {
-    for (const Expr* c : node.predicate->Children()) conjuncts.push_back(c);
-  } else {
-    conjuncts.push_back(node.predicate.get());
-  }
-  std::vector<std::string> shapes;
-  for (const Expr* c : conjuncts) {
-    if (IsJoinKeyConjunct(*c, key_names)) continue;
-    shapes.push_back(NormalizePredicateShape(*c));
-  }
-  if (shapes.empty()) return "";
-  std::sort(shapes.begin(), shapes.end());
-  std::string out = shapes.size() == 1 ? "" : "and(";
-  for (size_t i = 0; i < shapes.size(); ++i) {
-    if (i) out += ",";
-    out += shapes[i];
-  }
-  if (shapes.size() > 1) out += ")";
-  return out;
-}
-
 bool IsJoin(PlanOp op) {
   return op == PlanOp::kHashJoin || op == PlanOp::kMergeJoin ||
          op == PlanOp::kNestedLoopJoin;
@@ -155,21 +123,17 @@ bool IsScan(PlanOp op) {
   return op == PlanOp::kSeqScan || op == PlanOp::kIndexScan;
 }
 
-// Collects the sub-plan's cardinality-relevant descriptors and scanned
-// relation labels. Physical details (sort keys, projection lists,
-// materialization) are invisible on purpose.
-void CollectDescriptors(const PlanNode& node, std::vector<std::string>* descs,
-                        std::vector<std::string>* rels) {
+// The node's own cardinality-relevant descriptor; empty for the
+// cardinality-neutral operators. Physical details (sort keys, projection
+// lists, materialization) are invisible on purpose.
+std::string NodeDescriptor(const PlanNode& node) {
   switch (node.op) {
     case PlanOp::kSeqScan: {
-      rels->push_back(node.label);
       std::string d = "S:" + node.label + ":";
       if (node.predicate) d += NormalizePredicateShape(*node.predicate);
-      descs->push_back(std::move(d));
-      break;
+      return d;
     }
     case PlanOp::kIndexScan: {
-      rels->push_back(node.label);
       std::string key_col;
       if (node.table != nullptr && node.index_column >= 0 &&
           static_cast<size_t>(node.index_column) <
@@ -180,29 +144,15 @@ void CollectDescriptors(const PlanNode& node, std::vector<std::string>* descs,
       }
       std::string d = "I:" + node.label + ":" + key_col + ":";
       if (node.predicate) d += NormalizePredicateShape(*node.predicate);
-      descs->push_back(std::move(d));
-      break;
+      return d;
     }
     case PlanOp::kHashJoin:
     case PlanOp::kMergeJoin:
     case PlanOp::kNestedLoopJoin: {
-      auto key_names = JoinKeyNames(node);
-      std::vector<std::string> pairs;
-      for (auto& [l, r] : key_names) {
-        pairs.push_back(l <= r ? l + "=" + r : r + "=" + l);
-      }
-      std::sort(pairs.begin(), pairs.end());
-      std::string d = "J:";
-      d += JoinTypeName(node.join_type);
-      d += ":";
-      for (size_t i = 0; i < pairs.size(); ++i) {
-        if (i) d += ",";
-        d += pairs[i];
-      }
-      d += ":";
-      d += JoinResidualShape(node);
-      descs->push_back(std::move(d));
-      break;
+      const auto key_names = JoinKeyNames(node);
+      return JoinDescriptor(
+          node.join_type, key_names,
+          JoinResidualShape(node.op, node.predicate.get(), key_names));
     }
     case PlanOp::kHashAggregate:
     case PlanOp::kGroupAggregate: {
@@ -223,25 +173,30 @@ void CollectDescriptors(const PlanNode& node, std::vector<std::string>* descs,
       }
       d += ":";
       if (node.having) d += NormalizePredicateShape(*node.having);
-      descs->push_back(std::move(d));
-      break;
+      return d;
     }
     case PlanOp::kFilter: {
       std::string d = "F:";
       if (node.predicate) d += NormalizePredicateShape(*node.predicate);
-      descs->push_back(std::move(d));
-      break;
+      return d;
     }
     case PlanOp::kLimit:
       // The bound is a constant, so only the operator's presence matters.
-      descs->push_back("L");
-      break;
+      return "L";
     case PlanOp::kSort:
     case PlanOp::kMaterialize:
     case PlanOp::kProject:
       break;  // cardinality-neutral
   }
-  for (const auto& c : node.children) CollectDescriptors(*c, descs, rels);
+  return "";
+}
+
+// Appends the sub-plan's descriptors and scanned relation labels, unsorted.
+void CollectParts(const PlanNode& node, SignatureParts* parts) {
+  std::string d = NodeDescriptor(node);
+  if (!d.empty()) parts->descriptors.push_back(std::move(d));
+  if (IsScan(node.op)) parts->relations.push_back(node.label);
+  for (const auto& c : node.children) CollectParts(*c, parts);
 }
 
 double SafeLog1p(double v) { return std::log1p(std::max(0.0, v)); }
@@ -314,23 +269,89 @@ std::string NormalizePredicateShape(const Expr& e) {
   return "?expr";
 }
 
-NodeSignature ComputePlanNodeSignature(const PlanNode& node) {
-  if (!IsScan(node.op) && !IsJoin(node.op) && !IsAggregate(node.op)) {
-    return {};
+std::string JoinResidualShape(
+    PlanOp op, const Expr* predicate,
+    const std::vector<std::pair<std::string, std::string>>& key_names) {
+  if (predicate == nullptr) return "";
+  if (op != PlanOp::kNestedLoopJoin) return NormalizePredicateShape(*predicate);
+  std::vector<const Expr*> conjuncts;
+  if (predicate->kind() == Expr::Kind::kAnd) {
+    for (const Expr* c : predicate->Children()) conjuncts.push_back(c);
+  } else {
+    conjuncts.push_back(predicate);
   }
-  std::vector<std::string> descs;
-  std::vector<std::string> rels;
-  CollectDescriptors(node, &descs, &rels);
-  std::sort(descs.begin(), descs.end());
-  std::sort(rels.begin(), rels.end());
+  std::vector<std::string> shapes;
+  for (const Expr* c : conjuncts) {
+    if (IsJoinKeyConjunct(*c, key_names)) continue;
+    shapes.push_back(NormalizePredicateShape(*c));
+  }
+  if (shapes.empty()) return "";
+  std::sort(shapes.begin(), shapes.end());
+  std::string out = shapes.size() == 1 ? "" : "and(";
+  for (size_t i = 0; i < shapes.size(); ++i) {
+    if (i) out += ",";
+    out += shapes[i];
+  }
+  if (shapes.size() > 1) out += ")";
+  return out;
+}
 
+std::string JoinDescriptor(
+    JoinType type,
+    const std::vector<std::pair<std::string, std::string>>& key_names,
+    const std::string& residual_shape) {
+  std::vector<std::string> pairs;
+  for (const auto& [l, r] : key_names) {
+    pairs.push_back(l <= r ? l + "=" + r : r + "=" + l);
+  }
+  std::sort(pairs.begin(), pairs.end());
+  std::string d = "J:";
+  d += JoinTypeName(type);
+  d += ":";
+  for (size_t i = 0; i < pairs.size(); ++i) {
+    if (i) d += ",";
+    d += pairs[i];
+  }
+  d += ":";
+  d += residual_shape;
+  return d;
+}
+
+SignatureParts CollectSignatureParts(const PlanNode& node) {
+  SignatureParts parts;
+  CollectParts(node, &parts);
+  std::sort(parts.descriptors.begin(), parts.descriptors.end());
+  std::sort(parts.relations.begin(), parts.relations.end());
+  return parts;
+}
+
+SignatureParts MergeSignatureParts(const SignatureParts& left,
+                                   const SignatureParts& right,
+                                   std::string descriptor) {
+  SignatureParts out;
+  out.descriptors.reserve(left.descriptors.size() +
+                          right.descriptors.size() + 1);
+  std::merge(left.descriptors.begin(), left.descriptors.end(),
+             right.descriptors.begin(), right.descriptors.end(),
+             std::back_inserter(out.descriptors));
+  const auto at = std::upper_bound(out.descriptors.begin(),
+                                   out.descriptors.end(), descriptor);
+  out.descriptors.insert(at, std::move(descriptor));
+  out.relations.reserve(left.relations.size() + right.relations.size());
+  std::merge(left.relations.begin(), left.relations.end(),
+             right.relations.begin(), right.relations.end(),
+             std::back_inserter(out.relations));
+  return out;
+}
+
+NodeSignature HashSignatureParts(const SignatureParts& parts) {
   std::string rel_list;
-  for (size_t i = 0; i < rels.size(); ++i) {
+  for (size_t i = 0; i < parts.relations.size(); ++i) {
     if (i) rel_list += ",";
-    rel_list += rels[i];
+    rel_list += parts.relations[i];
   }
   std::string payload = "cardsig v1\n" + rel_list + "\n";
-  for (const auto& d : descs) {
+  for (const auto& d : parts.descriptors) {
     payload += d;
     payload += "\n";
   }
@@ -338,6 +359,13 @@ NodeSignature ComputePlanNodeSignature(const PlanNode& node) {
   out.signature = Fnv1a64(payload);
   out.class_hash = Fnv1a64("cardclass v1\n" + rel_list);
   return out;
+}
+
+NodeSignature ComputePlanNodeSignature(const PlanNode& node) {
+  if (!IsScan(node.op) && !IsJoin(node.op) && !IsAggregate(node.op)) {
+    return {};
+  }
+  return HashSignatureParts(CollectSignatureParts(node));
 }
 
 std::array<double, 3> ComputeCardFeatures(const PlanNode& node) {
@@ -348,14 +376,18 @@ std::array<double, 3> ComputeCardFeatures(const PlanNode& node) {
                               : node.est.rows;
     f = {SafeLog1p(in_rows), SafeLog1p(node.est.rows), 0.0};
   } else if (IsJoin(node.op) && node.num_children() >= 2) {
-    const double c0 = node.child(0)->est.rows;
-    const double c1 = node.child(1)->est.rows;
-    f = {SafeLog1p(std::max(c0, c1)), SafeLog1p(std::min(c0, c1)),
-         SafeLog1p(node.est.rows)};
+    f = JoinCardFeatures(node.child(0)->est.rows, node.child(1)->est.rows,
+                         node.est.rows);
   } else if (IsAggregate(node.op) && node.num_children() >= 1) {
     f = {SafeLog1p(node.child(0)->est.rows), SafeLog1p(node.est.rows), 0.0};
   }
   return f;
+}
+
+std::array<double, 3> JoinCardFeatures(double left_rows, double right_rows,
+                                       double rows) {
+  return {SafeLog1p(std::max(left_rows, right_rows)),
+          SafeLog1p(std::min(left_rows, right_rows)), SafeLog1p(rows)};
 }
 
 void StampSignatures(PlanNode* root) {

@@ -1,7 +1,10 @@
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "plan/plan.h"
 
@@ -34,6 +37,43 @@ struct NodeSignature {
   uint64_t class_hash = 0;
 };
 
+/// \brief What a signature hashes, in a form a planner can memoize per
+/// sub-plan: one descriptor per cardinality-relevant node and the scanned
+/// relation labels, each list sorted. A join's parts are its two inputs'
+/// parts plus its own descriptor, so join enumeration derives every split's
+/// signature from memoized parts without re-walking the subtrees.
+struct SignatureParts {
+  std::vector<std::string> descriptors;
+  std::vector<std::string> relations;
+};
+
+/// Parts of the whole sub-plan rooted at `node`.
+SignatureParts CollectSignatureParts(const PlanNode& node);
+
+/// Parts of a join whose inputs have parts `left` and `right` and whose own
+/// descriptor is `descriptor` (see JoinDescriptor).
+SignatureParts MergeSignatureParts(const SignatureParts& left,
+                                   const SignatureParts& right,
+                                   std::string descriptor);
+
+/// Signature and class hash of a sub-plan with the given parts.
+NodeSignature HashSignatureParts(const SignatureParts& parts);
+
+/// Descriptor of a join node: its type, its equi-key column names as
+/// (left, right) input-schema names, and its residual shape (below).
+std::string JoinDescriptor(
+    JoinType type,
+    const std::vector<std::pair<std::string, std::string>>& key_names,
+    const std::string& residual_shape);
+
+/// Shape of a join's residual, read off the `predicate` a join node of
+/// physical operator `op` stores. A NestedLoopJoin executes its keys
+/// through the predicate too, so the key-equality conjuncts are filtered
+/// back out: all three physical joins of one logical join normalize alike.
+std::string JoinResidualShape(
+    PlanOp op, const Expr* predicate,
+    const std::vector<std::pair<std::string, std::string>>& key_names);
+
 /// Computes the signature of the sub-plan rooted at `node`. Only
 /// Scan/IndexScan/Join/Aggregate nodes carry signatures; other operators
 /// return {0, 0} (they contribute descriptors to ancestors instead).
@@ -48,6 +88,11 @@ NodeSignature ComputePlanNodeSignature(const PlanNode& node);
 /// Must be computed from the *baseline* (histogram) estimates — the
 /// optimizer stamps features before any learned override.
 std::array<double, 3> ComputeCardFeatures(const PlanNode& node);
+
+/// The join row of ComputeCardFeatures, from the two inputs' estimated rows
+/// and the join's baseline estimate.
+std::array<double, 3> JoinCardFeatures(double left_rows, double right_rows,
+                                       double rows);
 
 /// Stamps card_signature/card_class/card_features on every eligible node of
 /// the tree (post-hoc path for plans compiled without an estimator

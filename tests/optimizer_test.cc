@@ -163,6 +163,48 @@ TEST_F(OptimizerTest, MultiRelationFilterAppliedOnce) {
   EXPECT_EQ(res->row_count, 100);  // 125 minus the 25 self pairs
 }
 
+TEST_F(OptimizerTest, AmbiguousUnqualifiedColumnRejected) {
+  // With nation in the block twice, "n_name" names a column of both copies;
+  // pushing the filter to the first one would silently answer a different
+  // query.
+  Optimizer opt(db_.get());
+  JoinBlock block;
+  block.AddRelation("nation", "n1");
+  block.AddRelation("nation", "n2");
+  block.AddJoin("n1.n_regionkey", "n2.n_regionkey");
+  block.AddFilter(Eq(Col("n_name"), LitStr("FRANCE")));
+  auto plan = opt.OptimizeJoinBlock(std::move(block));
+  ASSERT_FALSE(plan.ok());
+  EXPECT_EQ(plan.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(plan.status().message().find("ambiguous column n_name"),
+            std::string::npos)
+      << plan.status().ToString();
+
+  // Join keys are checked the same way.
+  JoinBlock keys;
+  keys.AddRelation("nation", "n1");
+  keys.AddRelation("nation", "n2");
+  keys.AddJoin("n_regionkey", "n2.n_regionkey");
+  auto keyed = opt.OptimizeJoinBlock(std::move(keys));
+  ASSERT_FALSE(keyed.ok());
+  EXPECT_NE(keyed.status().message().find("ambiguous column n_regionkey"),
+            std::string::npos)
+      << keyed.status().ToString();
+
+  // Qualified, the filter lands on n1: France's region (Europe) holds five
+  // nations, each paired with France.
+  JoinBlock qualified;
+  qualified.AddRelation("nation", "n1");
+  qualified.AddRelation("nation", "n2");
+  qualified.AddJoin("n1.n_regionkey", "n2.n_regionkey");
+  qualified.AddFilter(Eq(Col("n1.n_name"), LitStr("FRANCE")));
+  auto ok = opt.OptimizeJoinBlock(std::move(qualified));
+  ASSERT_TRUE(ok.ok()) << ok.status().ToString();
+  auto res = ExecutePlan(ok->get(), db_.get(), {});
+  ASSERT_TRUE(res.ok());
+  EXPECT_EQ(res->row_count, 5);
+}
+
 TEST_F(OptimizerTest, AvoidsCrossProductsWhenConnected) {
   Optimizer opt(db_.get());
   JoinBlock block;
