@@ -181,42 +181,66 @@ void BM_QErrorLearnedWarm(benchmark::State& state) {
 }
 BENCHMARK(BM_QErrorLearnedWarm);
 
-// Planning time per template (state.range(0): 5, and 8 for the widest join
-// block, eight relations) with no estimator attached, with the histogram
-// backend (signature stamping plus one consult per split that always falls
-// back), and with the warmed learned snapshot. The wall-time deltas between
-// the three are the planning cost of the learned backend.
+// Planning time with no estimator attached, with the histogram backend
+// (signature stamping plus one consult per split that always falls back),
+// and with the warmed learned snapshot. The wall-time deltas between the
+// three are the planning cost of the learned backend. state.range(0) is a
+// template (5, and 8 for the widest join block, eight relations) planned at
+// one binding, or kMixArg: the 14 operator-level templates at two bindings
+// each, the mix e2ebench learn_mixed replans.
+
+constexpr int kMixArg = 0;
+
+void PlanOnce(Database* db, int arg, const CardinalityEstimator* estimator) {
+  if (arg != kMixArg) {
+    auto plan = CompileTemplate(db, arg, 7, estimator);
+    benchmark::DoNotOptimize(plan);
+    return;
+  }
+  for (int tid : tpch::OperatorLevelTemplates()) {
+    for (uint64_t seed : {7, 8}) {
+      auto plan = CompileTemplate(db, tid, seed, estimator);
+      benchmark::DoNotOptimize(plan);
+    }
+  }
+}
 
 void BM_PlanBaseline(benchmark::State& state) {
   Fixture& f = SharedFixture();
-  const int tid = static_cast<int>(state.range(0));
   for (auto _ : state) {
-    auto plan = CompileTemplate(f.db.get(), tid, 7, nullptr);
-    benchmark::DoNotOptimize(plan);
+    PlanOnce(f.db.get(), static_cast<int>(state.range(0)), nullptr);
   }
 }
-BENCHMARK(BM_PlanBaseline)->Arg(5)->Arg(8)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_PlanBaseline)
+    ->Arg(5)
+    ->Arg(8)
+    ->Arg(kMixArg)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_PlanHistogram(benchmark::State& state) {
   Fixture& f = SharedFixture();
-  const int tid = static_cast<int>(state.range(0));
   for (auto _ : state) {
-    auto plan = CompileTemplate(f.db.get(), tid, 7, &f.histogram);
-    benchmark::DoNotOptimize(plan);
+    PlanOnce(f.db.get(), static_cast<int>(state.range(0)), &f.histogram);
   }
 }
-BENCHMARK(BM_PlanHistogram)->Arg(5)->Arg(8)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_PlanHistogram)
+    ->Arg(5)
+    ->Arg(8)
+    ->Arg(kMixArg)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_PlanLearnedWarm(benchmark::State& state) {
   Fixture& f = SharedFixture();
   card::LearnedCardinalityEstimator learned(f.loop.get());
-  const int tid = static_cast<int>(state.range(0));
   for (auto _ : state) {
-    auto plan = CompileTemplate(f.db.get(), tid, 7, &learned);
-    benchmark::DoNotOptimize(plan);
+    PlanOnce(f.db.get(), static_cast<int>(state.range(0)), &learned);
   }
 }
-BENCHMARK(BM_PlanLearnedWarm)->Arg(5)->Arg(8)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_PlanLearnedWarm)
+    ->Arg(5)
+    ->Arg(8)
+    ->Arg(kMixArg)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_CacheLookup(benchmark::State& state) {
   Fixture& f = SharedFixture();

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <iterator>
 #include <vector>
 
 #include "common/checksum.h"
@@ -123,9 +122,41 @@ bool IsScan(PlanOp op) {
   return op == PlanOp::kSeqScan || op == PlanOp::kIndexScan;
 }
 
-// The node's own cardinality-relevant descriptor; empty for the
-// cardinality-neutral operators. Physical details (sort keys, projection
-// lists, materialization) are invisible on purpose.
+// Appends the sub-plan's descriptors and scanned relation labels, unsorted.
+void CollectParts(const PlanNode& node, SignatureParts* parts) {
+  std::string d = NodeDescriptor(node);
+  if (!d.empty()) parts->descriptors.push_back(std::move(d));
+  if (IsScan(node.op)) parts->relations.push_back(node.label);
+  for (const auto& c : node.children) CollectParts(*c, parts);
+}
+
+// Hashes one descriptor line of a signature payload.
+uint64_t HashDescriptor(uint64_t state, std::string_view descriptor) {
+  return Fnv1a64Update(Fnv1a64Update(state, descriptor), "\n");
+}
+
+// HashRelations over any sorted list of labels.
+template <typename Labels>
+RelationHashes HashRelationList(const Labels& relations) {
+  uint64_t prefix = Fnv1a64("cardsig v1\n");
+  uint64_t class_hash = Fnv1a64("cardclass v1\n");
+  bool first = true;
+  for (const auto& label : relations) {
+    if (!first) {
+      prefix = Fnv1a64Update(prefix, ",");
+      class_hash = Fnv1a64Update(class_hash, ",");
+    }
+    first = false;
+    prefix = Fnv1a64Update(prefix, label);
+    class_hash = Fnv1a64Update(class_hash, label);
+  }
+  return {Fnv1a64Update(prefix, "\n"), class_hash};
+}
+
+}  // namespace
+
+// Physical details (sort keys, projection lists, materialization) are
+// invisible on purpose.
 std::string NodeDescriptor(const PlanNode& node) {
   switch (node.op) {
     case PlanOp::kSeqScan: {
@@ -150,9 +181,14 @@ std::string NodeDescriptor(const PlanNode& node) {
     case PlanOp::kMergeJoin:
     case PlanOp::kNestedLoopJoin: {
       const auto key_names = JoinKeyNames(node);
-      return JoinDescriptor(
-          node.join_type, key_names,
-          JoinResidualShape(node.op, node.predicate.get(), key_names));
+      std::vector<std::string> pairs;
+      for (const auto& [l, r] : key_names) pairs.push_back(JoinKeyPair(l, r));
+      std::vector<std::string_view> views(pairs.begin(), pairs.end());
+      std::string d;
+      WriteJoinDescriptor(
+          node.join_type, views,
+          JoinResidualShape(node.op, node.predicate.get(), key_names), &d);
+      return d;
     }
     case PlanOp::kHashAggregate:
     case PlanOp::kGroupAggregate: {
@@ -190,18 +226,6 @@ std::string NodeDescriptor(const PlanNode& node) {
   }
   return "";
 }
-
-// Appends the sub-plan's descriptors and scanned relation labels, unsorted.
-void CollectParts(const PlanNode& node, SignatureParts* parts) {
-  std::string d = NodeDescriptor(node);
-  if (!d.empty()) parts->descriptors.push_back(std::move(d));
-  if (IsScan(node.op)) parts->relations.push_back(node.label);
-  for (const auto& c : node.children) CollectParts(*c, parts);
-}
-
-double SafeLog1p(double v) { return std::log1p(std::max(0.0, v)); }
-
-}  // namespace
 
 std::string NormalizePredicateShape(const Expr& e) {
   switch (e.kind()) {
@@ -296,25 +320,22 @@ std::string JoinResidualShape(
   return out;
 }
 
-std::string JoinDescriptor(
-    JoinType type,
-    const std::vector<std::pair<std::string, std::string>>& key_names,
-    const std::string& residual_shape) {
-  std::vector<std::string> pairs;
-  for (const auto& [l, r] : key_names) {
-    pairs.push_back(l <= r ? l + "=" + r : r + "=" + l);
+std::string JoinKeyPair(const std::string& a, const std::string& b) {
+  return a <= b ? a + "=" + b : b + "=" + a;
+}
+
+void WriteJoinDescriptor(JoinType type, std::span<std::string_view> key_pairs,
+                         std::string_view residual_shape, std::string* out) {
+  std::sort(key_pairs.begin(), key_pairs.end());
+  out->assign("J:");
+  *out += JoinTypeName(type);
+  *out += ":";
+  for (size_t i = 0; i < key_pairs.size(); ++i) {
+    if (i) *out += ",";
+    *out += key_pairs[i];
   }
-  std::sort(pairs.begin(), pairs.end());
-  std::string d = "J:";
-  d += JoinTypeName(type);
-  d += ":";
-  for (size_t i = 0; i < pairs.size(); ++i) {
-    if (i) d += ",";
-    d += pairs[i];
-  }
-  d += ":";
-  d += residual_shape;
-  return d;
+  *out += ":";
+  *out += residual_shape;
 }
 
 SignatureParts CollectSignatureParts(const PlanNode& node) {
@@ -325,40 +346,45 @@ SignatureParts CollectSignatureParts(const PlanNode& node) {
   return parts;
 }
 
-SignatureParts MergeSignatureParts(const SignatureParts& left,
-                                   const SignatureParts& right,
-                                   std::string descriptor) {
-  SignatureParts out;
-  out.descriptors.reserve(left.descriptors.size() +
-                          right.descriptors.size() + 1);
-  std::merge(left.descriptors.begin(), left.descriptors.end(),
-             right.descriptors.begin(), right.descriptors.end(),
-             std::back_inserter(out.descriptors));
-  const auto at = std::upper_bound(out.descriptors.begin(),
-                                   out.descriptors.end(), descriptor);
-  out.descriptors.insert(at, std::move(descriptor));
-  out.relations.reserve(left.relations.size() + right.relations.size());
-  std::merge(left.relations.begin(), left.relations.end(),
-             right.relations.begin(), right.relations.end(),
-             std::back_inserter(out.relations));
-  return out;
+NodeSignature HashSignatureParts(const SignatureParts& parts) {
+  const RelationHashes relations = HashRelationList(parts.relations);
+  uint64_t h = relations.prefix;
+  for (const auto& d : parts.descriptors) h = HashDescriptor(h, d);
+  return {h, relations.class_hash};
 }
 
-NodeSignature HashSignatureParts(const SignatureParts& parts) {
-  std::string rel_list;
-  for (size_t i = 0; i < parts.relations.size(); ++i) {
-    if (i) rel_list += ",";
-    rel_list += parts.relations[i];
+RelationHashes HashRelations(std::span<const std::string_view> relations) {
+  return HashRelationList(relations);
+}
+
+NodeSignature HashJoinSignature(const RelationHashes& relations,
+                                std::span<const std::string_view> left,
+                                std::span<const std::string_view> right,
+                                std::string_view descriptor) {
+  // Hash in merge order. The smaller input (a base scan's one descriptor,
+  // in left-deep enumeration) with the own descriptor inserted is walked in
+  // order, and each of its descriptors is placed in the larger input by
+  // binary search. Equal descriptors are equal bytes: ties may go either
+  // way.
+  std::span<const std::string_view> base = left, other = right;
+  if (base.size() < other.size()) std::swap(base, other);
+  uint64_t h = relations.prefix;
+  auto pos = base.begin();
+  const auto emit = [&](std::string_view d) {
+    for (const auto at = std::upper_bound(pos, base.end(), d); pos != at;
+         ++pos) {
+      h = HashDescriptor(h, *pos);
+    }
+    h = HashDescriptor(h, d);
+  };
+  const auto own_at = std::upper_bound(other.begin(), other.end(), descriptor);
+  for (auto it = other.begin(); it != other.end(); ++it) {
+    if (it == own_at) emit(descriptor);
+    emit(*it);
   }
-  std::string payload = "cardsig v1\n" + rel_list + "\n";
-  for (const auto& d : parts.descriptors) {
-    payload += d;
-    payload += "\n";
-  }
-  NodeSignature out;
-  out.signature = Fnv1a64(payload);
-  out.class_hash = Fnv1a64("cardclass v1\n" + rel_list);
-  return out;
+  if (own_at == other.end()) emit(descriptor);
+  for (; pos != base.end(); ++pos) h = HashDescriptor(h, *pos);
+  return {h, relations.class_hash};
 }
 
 NodeSignature ComputePlanNodeSignature(const PlanNode& node) {
@@ -374,20 +400,27 @@ std::array<double, 3> ComputeCardFeatures(const PlanNode& node) {
     const double in_rows =
         node.table != nullptr ? static_cast<double>(node.table->num_rows())
                               : node.est.rows;
-    f = {SafeLog1p(in_rows), SafeLog1p(node.est.rows), 0.0};
+    f = {ScaleRows(in_rows), ScaleRows(node.est.rows), 0.0};
   } else if (IsJoin(node.op) && node.num_children() >= 2) {
-    f = JoinCardFeatures(node.child(0)->est.rows, node.child(1)->est.rows,
-                         node.est.rows);
+    const double l = node.child(0)->est.rows;
+    const double r = node.child(1)->est.rows;
+    f = JoinCardFeatures(l, ScaleRows(l), r, ScaleRows(r), node.est.rows);
   } else if (IsAggregate(node.op) && node.num_children() >= 1) {
-    f = {SafeLog1p(node.child(0)->est.rows), SafeLog1p(node.est.rows), 0.0};
+    f = {ScaleRows(node.child(0)->est.rows), ScaleRows(node.est.rows), 0.0};
   }
   return f;
 }
 
-std::array<double, 3> JoinCardFeatures(double left_rows, double right_rows,
+double ScaleRows(double rows) { return std::log1p(std::max(0.0, rows)); }
+
+std::array<double, 3> JoinCardFeatures(double left_rows, double left_scaled,
+                                       double right_rows, double right_scaled,
                                        double rows) {
-  return {SafeLog1p(std::max(left_rows, right_rows)),
-          SafeLog1p(std::min(left_rows, right_rows)), SafeLog1p(rows)};
+  // ScaleRows of std::max and std::min of the two inputs' rows, picked as
+  // those two pick.
+  return {left_rows < right_rows ? right_scaled : left_scaled,
+          right_rows < left_rows ? right_scaled : left_scaled,
+          ScaleRows(rows)};
 }
 
 void StampSignatures(PlanNode* root) {

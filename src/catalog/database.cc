@@ -17,6 +17,7 @@ Status Database::AddTable(std::unique_ptr<Table> table) {
   tables_.push_back(std::move(table));
   by_name_[raw->name()] = raw;
   by_id_[raw->id()] = raw;
+  for (const auto& c : raw->schema().columns()) by_column_.emplace(c.name, raw);
   return Status::OK();
 }
 
@@ -52,6 +53,11 @@ std::vector<const Table*> Database::tables() const {
   out.reserve(tables_.size());
   for (const auto& t : tables_) out.push_back(t.get());
   return out;
+}
+
+const Table* Database::TableWithColumn(const std::string& column) const {
+  auto it = by_column_.find(column);
+  return it == by_column_.end() ? nullptr : it->second;
 }
 
 Status Database::AnalyzeAll(const AnalyzeConfig& config) {

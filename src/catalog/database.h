@@ -44,6 +44,10 @@ class Database {
   const Table* GetTableById(int id) const;
   std::vector<const Table*> tables() const;
 
+  /// The first table, in the order they were added, whose schema has a
+  /// column named exactly `column`; null when none has. One hash lookup.
+  const Table* TableWithColumn(const std::string& column) const;
+
   BufferPool* buffer_pool() { return &buffer_pool_; }
 
   /// Computes statistics for every table.
@@ -63,6 +67,8 @@ class Database {
   std::vector<std::unique_ptr<Table>> tables_;
   std::unordered_map<std::string, Table*> by_name_;
   std::unordered_map<int, Table*> by_id_;
+  /// Column name -> first table owning it (TableWithColumn).
+  std::unordered_map<std::string, const Table*> by_column_;
   std::unordered_map<int, TableStats> stats_;
 };
 

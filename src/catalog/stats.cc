@@ -94,7 +94,7 @@ double ColumnStats::CmpSelectivity(CmpOp op, const Value& v) const {
   return 0.333;
 }
 
-const ColumnStats* TableStats::Column(const std::string& name) const {
+const ColumnStats* TableStats::Column(std::string_view name) const {
   for (const auto& c : columns) {
     if (c.name == name) return &c;
   }

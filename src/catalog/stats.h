@@ -1,6 +1,7 @@
 #pragma once
 
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -57,7 +58,7 @@ struct TableStats {
   std::vector<ColumnStats> columns;
 
   /// Stats for the named column, or nullptr.
-  const ColumnStats* Column(const std::string& name) const;
+  const ColumnStats* Column(std::string_view name) const;
 };
 
 }  // namespace qpp

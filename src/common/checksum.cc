@@ -4,15 +4,6 @@
 
 namespace qpp {
 
-uint64_t Fnv1a64(std::string_view data) {
-  uint64_t h = 0xcbf29ce484222325ull;
-  for (unsigned char c : data) {
-    h ^= c;
-    h *= 0x100000001b3ull;
-  }
-  return h;
-}
-
 std::string ChecksumHex(uint64_t checksum) {
   char buf[17];
   std::snprintf(buf, sizeof(buf), "%016llx",

@@ -112,7 +112,8 @@ PredictionServer::PredictionServer(serve::PredictionService* service,
       // Same resolution ladder as serve.predict.latency_us but extended:
       // 1 us .. ~4 s, since network round trips include queueing delay.
       latency_hist_(obs::MetricsRegistry::Global()->GetHistogram(
-          "net.request.latency_us", obs::ExponentialBuckets(1.0, 2.0, 23))) {}
+          "net.request.latency_us", obs::ExponentialBuckets(1.0, 2.0, 23))),
+      instance_latency_hist_(obs::ExponentialBuckets(1.0, 2.0, 23)) {}
 
 PredictionServer::~PredictionServer() { Shutdown(); }
 
@@ -702,12 +703,14 @@ void PredictionServer::RunBatch(Reactor* r, std::vector<Pending> batch) {
   }
   const auto finished = Clock::now();
   for (const auto& p : batch) {
-    latency_hist_->Observe(
+    const double us =
         static_cast<double>(
             std::chrono::duration_cast<std::chrono::nanoseconds>(finished -
                                                                  p.enqueued)
                 .count()) /
-        1e3);
+        1e3;
+    latency_hist_->Observe(us);
+    instance_latency_hist_.Observe(us);
   }
   {
     std::lock_guard<OrderedMutex> lock(r->completions_mu);
@@ -834,9 +837,9 @@ ServerStats PredictionServer::Stats() const {
   s.parse_errors = parse_errors_.load(std::memory_order_relaxed);
   s.batches_dispatched = batches_dispatched_.load(std::memory_order_relaxed);
   s.dropped_disconnect = dropped_disconnect_.load(std::memory_order_relaxed);
-  s.p50_latency_us = latency_hist_->Quantile(0.50);
-  s.p95_latency_us = latency_hist_->Quantile(0.95);
-  s.p99_latency_us = latency_hist_->Quantile(0.99);
+  s.p50_latency_us = instance_latency_hist_.Quantile(0.50);
+  s.p95_latency_us = instance_latency_hist_.Quantile(0.95);
+  s.p99_latency_us = instance_latency_hist_.Quantile(0.99);
   return s;
 }
 

@@ -68,8 +68,9 @@ struct ServerStats {
   uint64_t batches_dispatched = 0;
   /// Responses dropped because the client disconnected before delivery.
   uint64_t dropped_disconnect = 0;
-  /// End-to-end (admit -> response encoded) latency quantiles, us, from the
-  /// process-wide "net.request.latency_us" histogram.
+  /// End-to-end (admit -> response encoded) latency quantiles, us, of this
+  /// server's own requests. Co-resident servers stay isolated; the
+  /// process-wide "net.request.latency_us" histogram aggregates them all.
   double p50_latency_us = 0.0;
   double p95_latency_us = 0.0;
   double p99_latency_us = 0.0;
@@ -232,6 +233,9 @@ class PredictionServer {
   obs::Gauge* connections_gauge_;
   obs::Counter* shed_counter_;
   obs::Histogram* latency_hist_;
+  /// This instance's own latency histogram (same buckets); Stats()
+  /// percentiles read it.
+  obs::Histogram instance_latency_hist_;
 };
 
 }  // namespace qpp::net

@@ -1,7 +1,9 @@
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -146,8 +148,16 @@ class Optimizer {
       const Schema& left, const Schema& right,
       const std::vector<std::pair<std::string, std::string>>& key_names);
 
+  /// Statistics of a (qualified) column, as GetStatsResolver resolves
+  /// them; null when none exist. Allocates nothing.
+  const ColumnStats* LookupStats(const std::string& name) const;
+
   /// ndistinct for a named column, or fallback when no stats.
   double NDistinct(const std::string& column) const;
+
+  /// Selectivity of one equi-key pair under independence: one over the
+  /// larger ndistinct of the two columns.
+  double KeySelectivity(const std::string& a, const std::string& b) const;
 
   /// Histogram + independence estimate of a join's output rows from its
   /// inputs' row counts (each at least 1), before any learned override.
@@ -176,8 +186,17 @@ class Optimizer {
   const Database* db_;
   CostModel cm_;
   const CardinalityEstimator* card_estimator_ = nullptr;
+  /// Hashes std::string and std::string_view alike, so a qualified name's
+  /// alias is looked up without copying it out.
+  struct AliasHash {
+    using is_transparent = void;
+    size_t operator()(std::string_view s) const {
+      return std::hash<std::string_view>{}(s);
+    }
+  };
   /// alias -> table registered by MakeScan (for qualified stats lookups).
-  std::unordered_map<std::string, const Table*> alias_tables_;
+  std::unordered_map<std::string, const Table*, AliasHash, std::equal_to<>>
+      alias_tables_;
 };
 
 }  // namespace qpp

@@ -505,6 +505,41 @@ TEST_F(NetServerTest, SyncRoundTripMatchesLocalPrediction) {
   EXPECT_EQ(stats.dropped_disconnect, 0u);
 }
 
+TEST_F(NetServerTest, TwoServersKeepIndependentLatencyPercentiles) {
+  StartServer(ServerConfig{});
+  // A second server in the same process, over the same service, that
+  // serves nothing.
+  PredictionServer idle(service_.get(), ServerConfig{});
+  ASSERT_TRUE(idle.Start().ok());
+  obs::Histogram* shared = obs::MetricsRegistry::Global()->GetHistogram(
+      "net.request.latency_us", {});
+  ASSERT_NE(shared, nullptr);
+  const uint64_t shared_before = shared->Count();
+
+  PredictionClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server_->port()).ok());
+  for (const QueryRecord& q : workload_.queries) {
+    auto reply = client.Predict(q);
+    ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+    ASSERT_EQ(reply->error, ErrorCode::kNone) << reply->error_message;
+  }
+  const net::ServerStats busy = server_->Stats();
+  EXPECT_EQ(busy.responses_sent, workload_.queries.size());
+  EXPECT_GT(busy.p50_latency_us, 0.0);
+
+  // The idle server answered nothing: its percentiles stay zero although
+  // the busy one's requests flowed through the process-wide histogram.
+  const net::ServerStats quiet = idle.Stats();
+  EXPECT_EQ(quiet.requests_received, 0u);
+  EXPECT_DOUBLE_EQ(quiet.p50_latency_us, 0.0);
+  EXPECT_DOUBLE_EQ(quiet.p95_latency_us, 0.0);
+  EXPECT_DOUBLE_EQ(quiet.p99_latency_us, 0.0);
+
+  // The shared histogram still aggregates across servers.
+  EXPECT_EQ(shared->Count() - shared_before, workload_.queries.size());
+  idle.Shutdown();
+}
+
 TEST_F(NetServerTest, PipelinedRequestsAllAnsweredAcrossBatches) {
   ServerConfig config;
   config.max_batch = 4;
