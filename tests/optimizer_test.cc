@@ -205,6 +205,41 @@ TEST_F(OptimizerTest, AmbiguousUnqualifiedColumnRejected) {
   EXPECT_EQ(res->row_count, 5);
 }
 
+TEST_F(OptimizerTest, RepeatedAliasAndTooManyJoinFiltersRejected) {
+  // A repeated alias makes every qualified reference to it ambiguous, and
+  // unaliased self-joins repeat the table name.
+  Optimizer opt(db_.get());
+  JoinBlock twice;
+  twice.AddRelation("nation");
+  twice.AddRelation("nation");
+  twice.AddJoin("nation.n_regionkey", "nation.n_nationkey");
+  auto plan = opt.OptimizeJoinBlock(std::move(twice));
+  ASSERT_FALSE(plan.ok());
+  EXPECT_EQ(plan.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(plan.status().message().find("duplicate relation alias nation"),
+            std::string::npos)
+      << plan.status().ToString();
+
+  // Join enumeration tracks the multi-relation filters a join newly covers
+  // in a 64-bit mask.
+  const auto block_with = [](int filters) {
+    JoinBlock b;
+    b.AddRelation("nation");
+    b.AddRelation("region");
+    b.AddJoin("n_regionkey", "r_regionkey");
+    for (int i = 0; i < filters; ++i) {
+      b.AddFilter(Ne(Col("n_nationkey"), Col("r_regionkey")));
+    }
+    return b;
+  };
+  EXPECT_TRUE(opt.OptimizeJoinBlock(block_with(64)).ok());
+  auto many = opt.OptimizeJoinBlock(block_with(65));
+  ASSERT_FALSE(many.ok());
+  EXPECT_NE(many.status().message().find("too many multi-relation filters"),
+            std::string::npos)
+      << many.status().ToString();
+}
+
 TEST_F(OptimizerTest, AvoidsCrossProductsWhenConnected) {
   Optimizer opt(db_.get());
   JoinBlock block;
