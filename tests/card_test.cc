@@ -23,6 +23,7 @@
 #include "catalog/database.h"
 #include "common/checksum.h"
 #include "exec/driver.h"
+#include "golden.h"
 #include "optimizer/optimizer.h"
 #include "tpch/dbgen.h"
 #include "workload/runner.h"
@@ -42,11 +43,6 @@ std::string SlurpFile(const std::string& path) {
   std::ostringstream out;
   out << in.rdbuf();
   return out.str();
-}
-
-std::string TestDataDir() {
-  const std::string file = __FILE__;
-  return file.substr(0, file.find_last_of('/')) + "/testdata";
 }
 
 /// Shared tiny TPC-H database (built once for the whole suite).
@@ -411,30 +407,6 @@ void DumpPlan(const PlanNode& n, std::string* out) {
 // a build whose planner is known good; a change that moves any estimate by
 // one ulp fails here and prints the plan. Regenerate only from such a build:
 //   QPP_REGEN_GOLDEN=1 ./card_test --gtest_filter='*GoldenPlanDigests*'
-/// Checks `lines` ("key digest...") against the golden file at `path`, or
-/// rewrites the file under QPP_REGEN_GOLDEN. `details[i]` is printed when
-/// line i moved.
-void CheckGolden(const std::string& path, const std::string& header,
-                 const std::vector<std::string>& lines,
-                 const std::vector<std::string>& details) {
-  if (std::getenv("QPP_REGEN_GOLDEN") != nullptr) {
-    std::ofstream out(path);
-    out << header << "\n";
-    for (const std::string& line : lines) out << line << "\n";
-    GTEST_SKIP() << "regenerated " << path;
-  }
-  std::ifstream in(path);
-  ASSERT_TRUE(in.is_open()) << "missing " << path;
-  std::vector<std::string> golden;
-  for (std::string line; std::getline(in, line);) {
-    if (!line.empty() && line[0] != '#') golden.push_back(line);
-  }
-  ASSERT_EQ(golden.size(), lines.size());
-  for (size_t i = 0; i < lines.size(); ++i) {
-    EXPECT_EQ(golden[i], lines[i]) << details[i];
-  }
-}
-
 TEST_F(CardTest, GoldenPlanDigests) {
   const std::string path = TestDataDir() + "/golden_plans.txt";
   HistogramCardinalityEstimator hist;
@@ -496,7 +468,7 @@ TEST_F(CardTest, GoldenConsultDigests) {
   }
   CheckGolden(path,
               "# estimator template seed consults fnv1a64(sorted consults)",
-              lines, std::vector<std::string>(lines.size()));
+              lines);
 }
 
 // Pins how often planning asks the estimator, per template, so a return to

@@ -18,6 +18,7 @@
 #include "card/card_cache.h"
 #include "catalog/database.h"
 #include "exec/driver.h"
+#include "golden.h"
 #include "kde/estimator.h"
 #include "kde/feedback.h"
 #include "kde/model.h"
@@ -41,11 +42,6 @@ std::string SlurpFile(const std::string& path) {
   std::ostringstream out;
   out << in.rdbuf();
   return out.str();
-}
-
-std::string TestDataDir() {
-  const std::string file = __FILE__;
-  return file.substr(0, file.find_last_of('/')) + "/testdata";
 }
 
 /// The correlated pair the independence assumption gets badly wrong:

@@ -12,6 +12,7 @@
 #include <string>
 
 #include "card/feedback.h"
+#include "golden.h"
 #include "kde/feedback.h"
 #include "workload/query_log.h"
 
@@ -48,11 +49,6 @@ constexpr bool kRssMeaningful = false;
 #else
 constexpr bool kRssMeaningful = true;
 #endif
-
-std::string TestDataDir() {
-  const std::string file = __FILE__;
-  return file.substr(0, file.find_last_of('/')) + "/testdata";
-}
 
 /// A two-operator record: an aggregate whose signature never changes over
 /// a band scan of the golden KDE bundle's "sensor" table whose signature is

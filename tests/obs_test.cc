@@ -11,7 +11,6 @@
 
 #include <cctype>
 #include <cstdlib>
-#include <fstream>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -20,6 +19,7 @@
 #include <vector>
 
 #include "expr/expr.h"
+#include "golden.h"
 #include "obs/explain.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -500,32 +500,17 @@ TEST(TraceTest, ChromeTraceJsonMatchesSchema) {
 
 // --------------------------- EXPLAIN ANALYZE --------------------------------
 
-std::string TestDataDir() {
-  const std::string this_file = __FILE__;
-  return this_file.substr(0, this_file.find_last_of('/')) + "/testdata";
-}
-
 TEST(ExplainAnalyzeTest, GoldenTree) {
   auto plan = MakeExecutedPlan();
   plan->children[1]->actual = PlanActuals{};  // exercise "(never executed)"
   obs::ExplainAnalyzeOptions opts;
   opts.include_timing = false;  // timings are machine-dependent; golden isn't
-  const std::string rendered = obs::ExplainAnalyze(*plan, opts);
-
-  const std::string golden_path = TestDataDir() + "/explain_analyze.golden";
-  std::ifstream in(golden_path);
-  if (!in.good()) {
-    std::ofstream out(golden_path);
-    ASSERT_TRUE(out.good()) << "cannot write " << golden_path;
-    out << rendered;
-    GTEST_SKIP() << "regenerated golden file at " << golden_path;
-  }
-  std::stringstream buf;
-  buf << in.rdbuf();
-  EXPECT_EQ(rendered, buf.str())
-      << "EXPLAIN ANALYZE output drifted from the golden file; if the new "
-         "format is intentional, delete " << golden_path
-      << " and re-run to regenerate.";
+  std::istringstream rendered(obs::ExplainAnalyze(*plan, opts));
+  std::vector<std::string> lines;
+  for (std::string line; std::getline(rendered, line);) lines.push_back(line);
+  // Regenerate only when the new format is intentional:
+  //   QPP_REGEN_GOLDEN=1 ./obs_test --gtest_filter='*GoldenTree*'
+  CheckGolden(TestDataDir() + "/explain_analyze.golden", "", lines);
 }
 
 TEST(ExplainAnalyzeTest, TimingAndPoolTogglesWork) {

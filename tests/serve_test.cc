@@ -17,6 +17,7 @@
 #include "common/bundle.h"
 #include "common/checksum.h"
 #include "common/rng.h"
+#include "golden.h"
 #include "obs/metrics.h"
 #include "serve/admission.h"
 #include "serve/feedback.h"
@@ -48,11 +49,6 @@ PredictorConfig QuickConfig(PredictionMethod method) {
   cfg.hybrid.max_iterations = 3;
   cfg.hybrid.min_occurrences = 6;
   return cfg;
-}
-
-std::string TestDataDir() {
-  const std::string file = __FILE__;
-  return file.substr(0, file.find_last_of('/')) + "/testdata";
 }
 
 std::string Slurp(const std::string& path) {

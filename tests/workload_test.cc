@@ -9,7 +9,9 @@
 #include <string_view>
 
 #include "catalog/database.h"
+#include "common/checksum.h"
 #include "exec/driver.h"
+#include "golden.h"
 #include "tpch/dbgen.h"
 #include "workload/query_log.h"
 #include "workload/runner.h"
@@ -86,6 +88,67 @@ TEST_P(AllTemplatesTest, GeneratesAndExecutes) {
 
 INSTANTIATE_TEST_SUITE_P(Templates, AllTemplatesTest,
                          ::testing::ValuesIn(tpch::AllTemplates()));
+
+/// Appends one line per node, pre-order, with every actual the clock does
+/// not decide.
+void DumpActuals(const PlanNode& n, std::string* out) {
+  char buf[192];
+  std::snprintf(buf, sizeof(buf),
+                "%s valid=%d rows=%.17g pages=%.17g hits=%llu misses=%llu\n",
+                PlanOpName(n.op), n.actual.valid ? 1 : 0, n.actual.rows,
+                n.actual.pages,
+                static_cast<unsigned long long>(n.actual.pool_hits),
+                static_cast<unsigned long long>(n.actual.pool_misses));
+  out->append(buf);
+  for (const auto& c : n.children) DumpActuals(*c, out);
+}
+
+/// Every node ran, 0 <= start <= run, and run-times are inclusive: the
+/// children's run-times sum to at most their parent's.
+void ExpectTimingInvariants(const PlanNode& n) {
+  EXPECT_TRUE(n.actual.valid) << PlanOpName(n.op);
+  EXPECT_LE(0.0, n.actual.start_time_ms) << PlanOpName(n.op);
+  EXPECT_LE(n.actual.start_time_ms, n.actual.run_time_ms) << PlanOpName(n.op);
+  double children_ms = 0.0;
+  for (const auto& c : n.children) {
+    children_ms += c->actual.run_time_ms;
+    ExpectTimingInvariants(*c);
+  }
+  EXPECT_LE(children_ms, n.actual.run_time_ms + 1e-9) << PlanOpName(n.op);
+}
+
+// Pins what the executor records on every operator of every template at
+// two bindings, cold: result rows, and per node its rows, pages and pool
+// hits and misses (timings are measured, so only their invariants are
+// checked). The digests are written by a build whose executor is known
+// good. Regenerate only from such a build:
+//   QPP_REGEN_GOLDEN=1 ./workload_test --gtest_filter='*GoldenActualDigests*'
+TEST_F(WorkloadTest, GoldenActualDigests) {
+  ExecutionOptions options;
+  options.collect_rows = false;
+  std::vector<std::string> lines, dumps;
+  for (int tid : tpch::AllTemplates()) {
+    for (uint64_t seed : {21, 4242}) {
+      Optimizer opt(db_.get());
+      Rng rng(seed);
+      tpch::TemplateContext ctx{&opt, db_.get(), &rng};
+      auto plan = tpch::GenerateTemplateQuery(tid, &ctx);
+      ASSERT_TRUE(plan.ok()) << "template " << tid;
+      auto res = ExecutePlan(plan->root.get(), db_.get(), options);
+      ASSERT_TRUE(res.ok()) << "template " << tid;
+      ExpectTimingInvariants(*plan->root);
+      std::string dump;
+      DumpActuals(*plan->root, &dump);
+      lines.push_back(std::to_string(tid) + " " + std::to_string(seed) + " " +
+                      std::to_string(res->row_count) + " " +
+                      ChecksumHex(Fnv1a64(dump)));
+      dumps.push_back(std::move(dump));
+    }
+  }
+  CheckGolden(TestDataDir() + "/golden_actuals.txt",
+              "# template seed result_rows fnv1a64(actuals dump)", lines,
+              dumps);
+}
 
 TEST_F(WorkloadTest, DifferentSeedsDifferentParameters) {
   Rng r1(1), r2(2);
