@@ -1,5 +1,5 @@
 // Microbenchmarks for the engine substrate: data generation, scan and join
-// throughput, decimal arithmetic, and buffer-pool access.
+// throughput, template execution, decimal arithmetic, and buffer-pool access.
 
 #include <benchmark/benchmark.h>
 
@@ -8,8 +8,10 @@
 #include "catalog/database.h"
 #include "exec/driver.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "optimizer/optimizer.h"
 #include "tpch/dbgen.h"
+#include "workload/templates.h"
 
 namespace qpp {
 namespace {
@@ -49,17 +51,16 @@ void BM_SeqScanLineitem(benchmark::State& state) {
 }
 BENCHMARK(BM_SeqScanLineitem);
 
-// The same scan with trace collection on. Tracing is assembled from the
-// actuals after the run, so the spread between this and BM_SeqScanLineitem
-// is the entire observability overhead (required < 2%).
+// The same scan with its trace built. Spans are assembled from the actuals
+// after the run, so the spread between this and BM_SeqScanLineitem is the
+// entire observability overhead (required < 2%).
 void BM_SeqScanLineitemTraced(benchmark::State& state) {
   Database* db = SharedDb().get();
   Optimizer opt(db);
   auto plan = opt.MakeScan("lineitem", "", nullptr);
-  ExecutionOptions options;
-  options.collect_trace = true;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(ExecutePlan(plan->get(), db, options));
+    benchmark::DoNotOptimize(ExecutePlan(plan->get(), db, {}));
+    benchmark::DoNotOptimize(obs::BuildTrace(**plan));
   }
   state.SetItemsProcessed(state.iterations() *
                           db->GetTable("lineitem")->num_rows());
@@ -79,6 +80,36 @@ void BM_HashJoinOrdersLineitem(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_HashJoinOrdersLineitem);
+
+// The label work of training at micro scale: the 14 operator-level
+// templates, planned once at two bindings each (micro_card's mix), all 28
+// executed cold per iteration as the training workload runs them.
+void BM_ExecuteTemplates(benchmark::State& state) {
+  Database* db = SharedDb().get();
+  Optimizer opt(db);
+  std::vector<QueryPlan> plans;
+  for (int tid : tpch::OperatorLevelTemplates()) {
+    for (uint64_t seed : {7, 8}) {
+      Rng rng(seed);
+      tpch::TemplateContext ctx{&opt, db, &rng};
+      auto plan = tpch::GenerateTemplateQuery(tid, &ctx);
+      bench::CheckOk(plan.status(), "GenerateTemplateQuery");
+      plans.push_back(std::move(*plan));
+    }
+  }
+  ExecutionOptions options;
+  options.collect_rows = false;
+  for (auto _ : state) {
+    for (QueryPlan& plan : plans) {
+      auto result = ExecutePlan(plan.root.get(), db, options);
+      bench::CheckOk(result.status(), "ExecutePlan");
+      benchmark::DoNotOptimize(result->row_count);
+    }
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(plans.size()));
+}
+BENCHMARK(BM_ExecuteTemplates)->Unit(benchmark::kMillisecond);
 
 void BM_DecimalMul(benchmark::State& state) {
   const Decimal a(123456, 2);

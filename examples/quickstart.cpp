@@ -18,6 +18,7 @@
 #include "exec/driver.h"
 #include "obs/explain.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "qpp/predictor.h"
 #include "tpch/dbgen.h"
 #include "workload/runner.h"
@@ -96,25 +97,24 @@ int main() {
                 result->latency_ms, 100.0 * rel);
   }
 
-  // 5. Observability: re-run one template with tracing on and show what the
-  //    obs layer collects.
+  // 5. Observability: re-run one template and show what the obs layer
+  //    derives from the actuals the execution recorded.
   {
     tpch::TemplateContext ctx{&opt, &db, &rng};
     auto plan = tpch::GenerateTemplateQuery(3, &ctx);
     if (plan.ok()) {
-      ExecutionOptions options;
-      options.collect_trace = true;
-      auto result = ExecutePlan(plan->root.get(), &db, options);
+      auto result = ExecutePlan(plan->root.get(), &db, {});
       if (result.ok()) {
         std::printf("\nEXPLAIN ANALYZE (TPC-H template 3):\n%s",
                     obs::ExplainAnalyze(*plan->root).c_str());
         const char* trace_path = "quickstart_trace.json";
         if (std::FILE* f = std::fopen(trace_path, "w")) {
-          const std::string json = result->trace->ToChromeTraceJson();
+          const obs::Trace trace = obs::BuildTrace(*plan->root);
+          const std::string json = trace.ToChromeTraceJson();
           std::fwrite(json.data(), 1, json.size(), f);
           std::fclose(f);
           std::printf("\nwrote %s (%zu spans; open in chrome://tracing)\n",
-                      trace_path, result->trace->spans.size());
+                      trace_path, trace.spans.size());
         }
       }
     }

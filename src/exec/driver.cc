@@ -74,66 +74,34 @@ Status BindPlan(PlanNode* node) {
 }
 
 ExecutorPtr BuildExecutor(PlanNode* node, ExecContext* ctx) {
-  ExecutorPtr exec;
+  auto child = [&](size_t i) { return BuildExecutor(node->child(i), ctx); };
   switch (node->op) {
     case PlanOp::kSeqScan:
-      exec = std::make_unique<SeqScanExecutor>(ctx, node->table,
-                                               node->predicate.get(), node);
-      break;
+      return std::make_unique<SeqScanExecutor>(node, ctx);
     case PlanOp::kIndexScan:
-      exec = std::make_unique<IndexScanExecutor>(
-          ctx, node->table, node->index_column, node->index_probe.get(),
-          node->predicate.get(), node);
-      break;
+      return std::make_unique<IndexScanExecutor>(node, ctx);
     case PlanOp::kFilter:
-      exec = std::make_unique<FilterExecutor>(BuildExecutor(node->child(0), ctx),
-                                              node->predicate.get());
-      break;
+      return std::make_unique<FilterExecutor>(node, child(0));
     case PlanOp::kProject:
-      exec = std::make_unique<ProjectExecutor>(
-          BuildExecutor(node->child(0), ctx), &node->projections);
-      break;
+      return std::make_unique<ProjectExecutor>(node, child(0));
     case PlanOp::kNestedLoopJoin:
-      exec = std::make_unique<NestedLoopJoinExecutor>(
-          BuildExecutor(node->child(0), ctx), BuildExecutor(node->child(1), ctx),
-          node->join_type, node->predicate.get(),
-          node->child(1)->output_schema.num_columns());
-      break;
+      return std::make_unique<NestedLoopJoinExecutor>(node, child(0), child(1));
     case PlanOp::kHashJoin:
-      exec = std::make_unique<HashJoinExecutor>(
-          BuildExecutor(node->child(0), ctx), BuildExecutor(node->child(1), ctx),
-          node->join_type, &node->join_keys, node->predicate.get(),
-          node->child(1)->output_schema.num_columns());
-      break;
+      return std::make_unique<HashJoinExecutor>(node, child(0), child(1));
     case PlanOp::kMergeJoin:
-      exec = std::make_unique<MergeJoinExecutor>(
-          BuildExecutor(node->child(0), ctx), BuildExecutor(node->child(1), ctx),
-          &node->join_keys, node->predicate.get());
-      break;
+      return std::make_unique<MergeJoinExecutor>(node, child(0), child(1));
     case PlanOp::kSort:
-      exec = std::make_unique<SortExecutor>(BuildExecutor(node->child(0), ctx),
-                                            &node->sort_keys, &node->sort_desc);
-      break;
+      return std::make_unique<SortExecutor>(node, child(0));
     case PlanOp::kMaterialize:
-      exec = std::make_unique<MaterializeExecutor>(
-          BuildExecutor(node->child(0), ctx));
-      break;
+      return std::make_unique<MaterializeExecutor>(node, child(0));
     case PlanOp::kHashAggregate:
-      exec = std::make_unique<HashAggregateExecutor>(
-          BuildExecutor(node->child(0), ctx), &node->group_keys,
-          &node->aggregates, node->having.get());
-      break;
+      return std::make_unique<HashAggregateExecutor>(node, child(0));
     case PlanOp::kGroupAggregate:
-      exec = std::make_unique<GroupAggregateExecutor>(
-          BuildExecutor(node->child(0), ctx), &node->group_keys,
-          &node->aggregates, node->having.get());
-      break;
+      return std::make_unique<GroupAggregateExecutor>(node, child(0));
     case PlanOp::kLimit:
-      exec = std::make_unique<LimitExecutor>(BuildExecutor(node->child(0), ctx),
-                                             node->limit_count);
-      break;
+      return std::make_unique<LimitExecutor>(node, child(0));
   }
-  return std::make_unique<InstrumentedExecutor>(std::move(exec), node);
+  return nullptr;
 }
 
 Result<ExecutionResult> ExecutePlan(PlanNode* root, Database* db,
@@ -166,9 +134,6 @@ Result<ExecutionResult> ExecutePlan(PlanNode* root, Database* db,
   for (const PlanNode* n : nodes) {
     result.pool_hits += n->actual.pool_hits;
     result.pool_misses += n->actual.pool_misses;
-  }
-  if (options.collect_trace) {
-    result.trace = obs::BuildTrace(*root);
   }
   return result;
 }

@@ -1,11 +1,9 @@
 #pragma once
 
-#include <optional>
 #include <vector>
 
 #include "catalog/database.h"
 #include "exec/executors.h"
-#include "obs/trace.h"
 #include "plan/plan.h"
 
 namespace qpp {
@@ -22,7 +20,8 @@ Status BindPlan(PlanNode* node);
 /// unqualified-suffix match ("n_name" finds "n1.n_name" if unambiguous).
 Result<int> ResolveName(const Schema& schema, const std::string& name);
 
-/// Builds the (instrumented) executor tree for a bound plan.
+/// Builds the executor tree for a bound plan; each operator records its
+/// own timings into its node's PlanActuals (see Executor).
 ExecutorPtr BuildExecutor(PlanNode* node, ExecContext* ctx);
 
 /// Execution knobs mirroring the paper's run protocol.
@@ -31,12 +30,6 @@ struct ExecutionOptions {
   bool cold_start = true;
   /// Keep result rows (disable for timing-only runs of large outputs).
   bool collect_rows = true;
-  /// Assemble a per-operator obs::Trace into ExecutionResult::trace after
-  /// the run. Off by default: tracing is zero-overhead when disabled
-  /// because spans are derived post-execution from the PlanActuals the
-  /// instrumented executor records anyway — no extra clock reads on the
-  /// tuple path either way, only the span assembly is skipped.
-  bool collect_trace = false;
 };
 
 /// Result of one query execution.
@@ -51,12 +44,11 @@ struct ExecutionResult {
   /// subquery InitPlan executed midway — cannot leak into these).
   uint64_t pool_hits = 0;
   uint64_t pool_misses = 0;
-  /// Per-operator span tree, present iff ExecutionOptions::collect_trace.
-  std::optional<obs::Trace> trace;
 };
 
-/// Binds, instruments and runs the plan against the database, filling
-/// PlanActuals on every node (the training-data collection path).
+/// Binds and runs the plan against the database, filling PlanActuals on
+/// every node (the training-data collection path). Per-operator trace
+/// spans are derived from those actuals afterwards: obs::BuildTrace(*root).
 Result<ExecutionResult> ExecutePlan(PlanNode* root, Database* db,
                                     const ExecutionOptions& options = {});
 

@@ -1,6 +1,7 @@
 #include "exec/executors.h"
 
 #include <algorithm>
+#include <chrono>
 
 namespace qpp {
 namespace {
@@ -32,20 +33,44 @@ void ConcatNullRight(const Tuple& l, size_t right_arity, Tuple* out) {
   for (size_t i = 0; i < right_arity; ++i) out->push_back(Value::Null());
 }
 
+// Opens `child`, passes each of its rows to `consume`, and closes it: the
+// build phase of every blocking operator.
+template <typename Consume>
+Status Drain(Executor* child, Consume&& consume) {
+  QPP_RETURN_NOT_OK(child->Open());
+  Tuple row;
+  while (true) {
+    QPP_ASSIGN_OR_RETURN(bool has, child->Next(&row));
+    if (!has) break;
+    consume(row);
+  }
+  child->Close();
+  return Status::OK();
+}
+
+// SQL semantics: an ungrouped aggregate emits exactly one row even when its
+// input is empty. Writes that row to *out; returns whether HAVING keeps it.
+bool EmptyInputRow(const std::vector<AggSpec>& aggs, const Expr* having,
+                   Tuple* out) {
+  out->clear();
+  for (const auto& a : aggs) out->push_back(AggState(a.func).Finalize());
+  return Accepts(having, *out);
+}
+
 }  // namespace
 
-// ------------------------------ Instrumented -------------------------------
+// -------------------------------- Executor ---------------------------------
 
-Status InstrumentedExecutor::Open() {
-  const auto t0 = Clock::now();
-  Status st = inner_->Open();
+Status Executor::Open() {
+  const auto t0 = std::chrono::steady_clock::now();
+  Status st = OpenImpl();
   cumulative_ms_ += ElapsedMs(t0);
   return st;
 }
 
-Result<bool> InstrumentedExecutor::Next(Tuple* out) {
-  const auto t0 = Clock::now();
-  Result<bool> r = inner_->Next(out);
+Result<bool> Executor::Next(Tuple* out) {
+  const auto t0 = std::chrono::steady_clock::now();
+  Result<bool> r = NextImpl(out);
   cumulative_ms_ += ElapsedMs(t0);
   if (r.ok() && *r) {
     if (start_time_ms_ < 0) start_time_ms_ = cumulative_ms_;
@@ -54,9 +79,9 @@ Result<bool> InstrumentedExecutor::Next(Tuple* out) {
   return r;
 }
 
-void InstrumentedExecutor::Close() {
-  const auto t0 = Clock::now();
-  inner_->Close();
+void Executor::Close() {
+  const auto t0 = std::chrono::steady_clock::now();
+  CloseImpl();
   cumulative_ms_ += ElapsedMs(t0);
   node_->actual.valid = true;
   node_->actual.start_time_ms =
@@ -67,13 +92,13 @@ void InstrumentedExecutor::Close() {
 
 // -------------------------------- SeqScan ----------------------------------
 
-Status SeqScanExecutor::Open() {
+Status SeqScanExecutor::OpenImpl() {
   next_row_ = 0;
   last_page_ = -1;
   return Status::OK();
 }
 
-Result<bool> SeqScanExecutor::Next(Tuple* out) {
+Result<bool> SeqScanExecutor::NextImpl(Tuple* out) {
   const int64_t n = table_->num_rows();
   while (next_row_ < n) {
     const int64_t row = next_row_++;
@@ -98,7 +123,7 @@ Result<bool> SeqScanExecutor::Next(Tuple* out) {
 
 // -------------------------------- IndexScan --------------------------------
 
-Status IndexScanExecutor::Open() {
+Status IndexScanExecutor::OpenImpl() {
   static const Tuple kEmpty;
   const Value key = probe_->Eval(kEmpty);
   if (key.is_null() || key.type() != TypeId::kInt64) {
@@ -114,7 +139,7 @@ Status IndexScanExecutor::Open() {
   return Status::OK();
 }
 
-Result<bool> IndexScanExecutor::Next(Tuple* out) {
+Result<bool> IndexScanExecutor::NextImpl(Tuple* out) {
   while (next_match_ < matches_->size()) {
     const int64_t row = (*matches_)[next_match_++];
     if (ctx_->pool->AccessRandom(table_->id(), table_->PageOfRow(row))) {
@@ -134,7 +159,7 @@ Result<bool> IndexScanExecutor::Next(Tuple* out) {
 
 // -------------------------------- Filter -----------------------------------
 
-Result<bool> FilterExecutor::Next(Tuple* out) {
+Result<bool> FilterExecutor::NextImpl(Tuple* out) {
   while (true) {
     QPP_ASSIGN_OR_RETURN(bool has, child_->Next(out));
     if (!has) return false;
@@ -144,7 +169,7 @@ Result<bool> FilterExecutor::Next(Tuple* out) {
 
 // -------------------------------- Project ----------------------------------
 
-Result<bool> ProjectExecutor::Next(Tuple* out) {
+Result<bool> ProjectExecutor::NextImpl(Tuple* out) {
   QPP_ASSIGN_OR_RETURN(bool has, child_->Next(&scratch_));
   if (!has) return false;
   out->clear();
@@ -155,7 +180,7 @@ Result<bool> ProjectExecutor::Next(Tuple* out) {
 
 // ------------------------------ NestedLoopJoin -----------------------------
 
-Status NestedLoopJoinExecutor::Open() {
+Status NestedLoopJoinExecutor::OpenImpl() {
   outer_valid_ = false;
   inner_open_ = false;
   return left_->Open();
@@ -173,7 +198,7 @@ Result<bool> NestedLoopJoinExecutor::AdvanceOuter() {
   return has;
 }
 
-Result<bool> NestedLoopJoinExecutor::Next(Tuple* out) {
+Result<bool> NestedLoopJoinExecutor::NextImpl(Tuple* out) {
   while (true) {
     if (!outer_valid_) {
       QPP_ASSIGN_OR_RETURN(bool has, AdvanceOuter());
@@ -213,7 +238,7 @@ Result<bool> NestedLoopJoinExecutor::Next(Tuple* out) {
   }
 }
 
-void NestedLoopJoinExecutor::Close() {
+void NestedLoopJoinExecutor::CloseImpl() {
   left_->Close();
   if (inner_open_) right_->Close();
   inner_open_ = false;
@@ -228,29 +253,23 @@ Tuple HashJoinExecutor::LeftKey(const Tuple& t) const {
   return key;
 }
 
-Status HashJoinExecutor::Open() {
+Status HashJoinExecutor::OpenImpl() {
   hash_table_.clear();
   probe_valid_ = false;
   bucket_ = nullptr;
-  QPP_RETURN_NOT_OK(right_->Open());
-  Tuple row;
-  while (true) {
-    auto r = right_->Next(&row);
-    if (!r.ok()) return r.status();
-    if (!*r) break;
+  QPP_RETURN_NOT_OK(Drain(right_.get(), [this](const Tuple& row) {
     Tuple key;
     key.reserve(keys_->size());
-    for (const auto& [l, rr] : *keys_) key.push_back(row[static_cast<size_t>(rr)]);
+    for (const auto& [l, r] : *keys_) key.push_back(row[static_cast<size_t>(r)]);
     bool any_null = false;
     for (const Value& v : key) any_null = any_null || v.is_null();
-    if (any_null) continue;  // null keys never join
+    if (any_null) return;  // null keys never join
     hash_table_[HashTuple(key)].push_back(row);
-  }
-  right_->Close();
+  }));
   return left_->Open();
 }
 
-Result<bool> HashJoinExecutor::Next(Tuple* out) {
+Result<bool> HashJoinExecutor::NextImpl(Tuple* out) {
   while (true) {
     if (!probe_valid_) {
       QPP_ASSIGN_OR_RETURN(bool has, left_->Next(&probe_));
@@ -314,7 +333,7 @@ Result<bool> HashJoinExecutor::Next(Tuple* out) {
   }
 }
 
-void HashJoinExecutor::Close() {
+void HashJoinExecutor::CloseImpl() {
   left_->Close();
   hash_table_.clear();
 }
@@ -329,7 +348,7 @@ int MergeJoinExecutor::CompareKeys(const Tuple& l, const Tuple& r) const {
   return 0;
 }
 
-Status MergeJoinExecutor::Open() {
+Status MergeJoinExecutor::OpenImpl() {
   QPP_RETURN_NOT_OK(left_->Open());
   QPP_RETURN_NOT_OK(right_->Open());
   auto l = left_->Next(&left_row_);
@@ -374,7 +393,7 @@ Result<bool> MergeJoinExecutor::FillRightGroup() {
   return true;
 }
 
-Result<bool> MergeJoinExecutor::Next(Tuple* out) {
+Result<bool> MergeJoinExecutor::NextImpl(Tuple* out) {
   while (true) {
     if (group_active_) {
       while (group_pos_ < right_group_.size()) {
@@ -422,7 +441,7 @@ Result<bool> MergeJoinExecutor::Next(Tuple* out) {
   }
 }
 
-void MergeJoinExecutor::Close() {
+void MergeJoinExecutor::CloseImpl() {
   left_->Close();
   right_->Close();
   right_group_.clear();
@@ -430,18 +449,11 @@ void MergeJoinExecutor::Close() {
 
 // ---------------------------------- Sort -----------------------------------
 
-Status SortExecutor::Open() {
+Status SortExecutor::OpenImpl() {
   rows_.clear();
   next_ = 0;
-  QPP_RETURN_NOT_OK(child_->Open());
-  Tuple row;
-  while (true) {
-    auto r = child_->Next(&row);
-    if (!r.ok()) return r.status();
-    if (!*r) break;
-    rows_.push_back(row);
-  }
-  child_->Close();
+  QPP_RETURN_NOT_OK(
+      Drain(child_.get(), [this](const Tuple& row) { rows_.push_back(row); }));
   std::stable_sort(rows_.begin(), rows_.end(),
                    [this](const Tuple& a, const Tuple& b) {
                      for (size_t k = 0; k < keys_->size(); ++k) {
@@ -457,60 +469,45 @@ Status SortExecutor::Open() {
   return Status::OK();
 }
 
-Result<bool> SortExecutor::Next(Tuple* out) {
+Result<bool> SortExecutor::NextImpl(Tuple* out) {
   if (next_ >= rows_.size()) return false;
   *out = rows_[next_++];
   return true;
 }
 
-void SortExecutor::Close() {
+void SortExecutor::CloseImpl() {
   rows_.clear();
   next_ = 0;
 }
 
 // ------------------------------- Materialize -------------------------------
 
-Status MaterializeExecutor::Open() {
+Status MaterializeExecutor::OpenImpl() {
   next_ = 0;
   if (filled_) return Status::OK();
-  QPP_RETURN_NOT_OK(child_->Open());
-  Tuple row;
-  while (true) {
-    auto r = child_->Next(&row);
-    if (!r.ok()) return r.status();
-    if (!*r) break;
-    buffer_.push_back(row);
-  }
-  child_->Close();
+  QPP_RETURN_NOT_OK(Drain(child_.get(),
+                          [this](const Tuple& row) { buffer_.push_back(row); }));
   filled_ = true;
   return Status::OK();
 }
 
-Result<bool> MaterializeExecutor::Next(Tuple* out) {
+Result<bool> MaterializeExecutor::NextImpl(Tuple* out) {
   if (next_ >= buffer_.size()) return false;
   *out = buffer_[next_++];
   return true;
 }
 
-void MaterializeExecutor::Close() { next_ = 0; }
-
 // ------------------------------ HashAggregate ------------------------------
 
-Status HashAggregateExecutor::Open() {
+Status HashAggregateExecutor::OpenImpl() {
   results_.clear();
   next_ = 0;
-  QPP_RETURN_NOT_OK(child_->Open());
-
   struct Group {
     Tuple key;
     std::vector<AggState> states;
   };
   std::unordered_map<size_t, std::vector<Group>> groups;
-  Tuple row;
-  while (true) {
-    auto r = child_->Next(&row);
-    if (!r.ok()) return r.status();
-    if (!*r) break;
+  QPP_RETURN_NOT_OK(Drain(child_.get(), [&](const Tuple& row) {
     Tuple key;
     key.reserve(group_keys_->size());
     for (int k : *group_keys_) key.push_back(row[static_cast<size_t>(k)]);
@@ -536,18 +533,11 @@ Status HashAggregateExecutor::Open() {
       const AggSpec& spec = (*aggs_)[i];
       group->states[i].Step(spec.arg ? spec.arg->Eval(row) : Value::Int64(1));
     }
-  }
-  child_->Close();
+  }));
 
-  // SQL semantics: an ungrouped aggregate emits exactly one row even when
-  // the input is empty.
   if (group_keys_->empty() && groups.empty()) {
     Tuple out;
-    for (const auto& a : *aggs_) out.push_back(AggState(a.func).Finalize());
-    if (having_ == nullptr ||
-        (!having_->Eval(out).is_null() && having_->Eval(out).bool_value())) {
-      results_.push_back(std::move(out));
-    }
+    if (EmptyInputRow(*aggs_, having_, &out)) results_.push_back(std::move(out));
     return Status::OK();
   }
 
@@ -555,23 +545,19 @@ Status HashAggregateExecutor::Open() {
     for (auto& g : chain) {
       Tuple out = g.key;
       for (const auto& s : g.states) out.push_back(s.Finalize());
-      if (having_ != nullptr) {
-        const Value v = having_->Eval(out);
-        if (v.is_null() || !v.bool_value()) continue;
-      }
-      results_.push_back(std::move(out));
+      if (Accepts(having_, out)) results_.push_back(std::move(out));
     }
   }
   return Status::OK();
 }
 
-Result<bool> HashAggregateExecutor::Next(Tuple* out) {
+Result<bool> HashAggregateExecutor::NextImpl(Tuple* out) {
   if (next_ >= results_.size()) return false;
   *out = results_[next_++];
   return true;
 }
 
-void HashAggregateExecutor::Close() {
+void HashAggregateExecutor::CloseImpl() {
   results_.clear();
   next_ = 0;
 }
@@ -595,21 +581,21 @@ Tuple GroupAggregateExecutor::FinalizeGroup() {
   return out;
 }
 
-Status GroupAggregateExecutor::Open() {
+Status GroupAggregateExecutor::OpenImpl() {
   have_row_ = false;
   done_ = false;
   states_.clear();
   return child_->Open();
 }
 
-Result<bool> GroupAggregateExecutor::Next(Tuple* out) {
+Result<bool> GroupAggregateExecutor::NextImpl(Tuple* out) {
   if (done_) return false;
   while (true) {
     if (!have_row_) {
       QPP_ASSIGN_OR_RETURN(bool has, child_->Next(&current_row_));
-      if (!has) {
+      if (!has) {  // empty input
         done_ = true;
-        return false;
+        return group_keys_->empty() && EmptyInputRow(*aggs_, having_, out);
       }
       have_row_ = true;
       states_.clear();
@@ -638,26 +624,23 @@ Result<bool> GroupAggregateExecutor::Next(Tuple* out) {
       done_ = true;
       have_row_ = false;
     }
-    if (having_ != nullptr) {
-      const Value v = having_->Eval(result);
-      if (v.is_null() || !v.bool_value()) {
-        if (done_) return false;
-        continue;
-      }
+    if (!Accepts(having_, result)) {
+      if (done_) return false;
+      continue;
     }
     *out = std::move(result);
     return true;
   }
 }
 
-void GroupAggregateExecutor::Close() {
+void GroupAggregateExecutor::CloseImpl() {
   child_->Close();
   states_.clear();
 }
 
 // ---------------------------------- Limit ----------------------------------
 
-Result<bool> LimitExecutor::Next(Tuple* out) {
+Result<bool> LimitExecutor::NextImpl(Tuple* out) {
   if (limit_ >= 0 && emitted_ >= limit_) return false;
   QPP_ASSIGN_OR_RETURN(bool has, child_->Next(out));
   if (!has) return false;

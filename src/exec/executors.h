@@ -1,6 +1,5 @@
 #pragma once
 
-#include <chrono>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -16,58 +15,60 @@ struct ExecContext {
   BufferPool* pool = nullptr;
 };
 
-/// \brief Volcano-style iterator. Open() may be called again after Close()
-/// to rescan (NestedLoopJoin relies on this; Materialize makes it cheap).
+/// \brief Volcano-style iterator that records the paper's per-operator
+/// timings on its plan node. Open() may be called again after Close() to
+/// rescan (NestedLoopJoin relies on this; Materialize makes it cheap).
+///
+/// Open/Next/Close read the clock around each call of the operator's
+/// *Impl. Run-time is the time spent in those calls over every rescan,
+/// inclusive of children, since child calls happen within them; start-time
+/// is that cumulative time when the first tuple emerged; rows counts the
+/// output over every rescan. Each Close writes them into the node's
+/// PlanActuals, so a node that is never closed stays invalid.
 class Executor {
  public:
+  explicit Executor(PlanNode* node) : node_(node) {}
   virtual ~Executor() = default;
-  virtual Status Open() = 0;
+  Executor(const Executor&) = delete;
+  Executor& operator=(const Executor&) = delete;
+  Status Open();
   /// Produces the next tuple into *out; returns false when exhausted.
-  virtual Result<bool> Next(Tuple* out) = 0;
-  virtual void Close() = 0;
-};
+  Result<bool> Next(Tuple* out);
+  void Close();
 
-using ExecutorPtr = std::unique_ptr<Executor>;
+ protected:
+  virtual Status OpenImpl() = 0;
+  virtual Result<bool> NextImpl(Tuple* out) = 0;
+  virtual void CloseImpl() = 0;
 
-/// \brief Decorator that accumulates the paper's per-operator timings on the
-/// wrapped node: time spent inside the sub-plan rooted here (inclusive of
-/// children, since child calls happen within this operator's Open/Next),
-/// the moment the first tuple emerged (start-time), total time (run-time),
-/// and output cardinality.
-class InstrumentedExecutor : public Executor {
- public:
-  InstrumentedExecutor(ExecutorPtr inner, PlanNode* node)
-      : inner_(std::move(inner)), node_(node) {}
-
-  Status Open() override;
-  Result<bool> Next(Tuple* out) override;
-  void Close() override;
+  PlanNode* const node_;
 
  private:
-  using Clock = std::chrono::steady_clock;
-  ExecutorPtr inner_;
-  PlanNode* node_;
   double cumulative_ms_ = 0.0;
   double start_time_ms_ = -1.0;
   int64_t rows_ = 0;
 };
 
+using ExecutorPtr = std::unique_ptr<Executor>;
+
 /// Sequential scan with optional residual predicate; charges one buffer-pool
 /// sequential page access per page boundary crossed.
 class SeqScanExecutor : public Executor {
  public:
-  SeqScanExecutor(ExecContext* ctx, const Table* table, const Expr* predicate,
-                  PlanNode* node)
-      : ctx_(ctx), table_(table), predicate_(predicate), node_(node) {}
-  Status Open() override;
-  Result<bool> Next(Tuple* out) override;
-  void Close() override {}
+  SeqScanExecutor(PlanNode* node, ExecContext* ctx)
+      : Executor(node),
+        ctx_(ctx),
+        table_(node->table),
+        predicate_(node->predicate.get()) {}
 
  private:
+  Status OpenImpl() override;
+  Result<bool> NextImpl(Tuple* out) override;
+  void CloseImpl() override {}
+
   ExecContext* ctx_;
   const Table* table_;
   const Expr* predicate_;
-  PlanNode* node_;
   int64_t next_row_ = 0;
   int64_t last_page_ = -1;
   Tuple scratch_;
@@ -77,25 +78,24 @@ class SeqScanExecutor : public Executor {
 /// the optional residual predicate. Charges random page accesses.
 class IndexScanExecutor : public Executor {
  public:
-  IndexScanExecutor(ExecContext* ctx, const Table* table, int index_column,
-                    const Expr* probe, const Expr* predicate, PlanNode* node)
-      : ctx_(ctx),
-        table_(table),
-        index_column_(index_column),
-        probe_(probe),
-        predicate_(predicate),
-        node_(node) {}
-  Status Open() override;
-  Result<bool> Next(Tuple* out) override;
-  void Close() override {}
+  IndexScanExecutor(PlanNode* node, ExecContext* ctx)
+      : Executor(node),
+        ctx_(ctx),
+        table_(node->table),
+        index_column_(node->index_column),
+        probe_(node->index_probe.get()),
+        predicate_(node->predicate.get()) {}
 
  private:
+  Status OpenImpl() override;
+  Result<bool> NextImpl(Tuple* out) override;
+  void CloseImpl() override {}
+
   ExecContext* ctx_;
   const Table* table_;
   int index_column_;
   const Expr* probe_;
   const Expr* predicate_;
-  PlanNode* node_;
   const std::vector<uint32_t>* matches_ = nullptr;
   size_t next_match_ = 0;
   Tuple scratch_;
@@ -104,13 +104,16 @@ class IndexScanExecutor : public Executor {
 /// Filters child tuples by a predicate.
 class FilterExecutor : public Executor {
  public:
-  FilterExecutor(ExecutorPtr child, const Expr* predicate)
-      : child_(std::move(child)), predicate_(predicate) {}
-  Status Open() override { return child_->Open(); }
-  Result<bool> Next(Tuple* out) override;
-  void Close() override { child_->Close(); }
+  FilterExecutor(PlanNode* node, ExecutorPtr child)
+      : Executor(node),
+        child_(std::move(child)),
+        predicate_(node->predicate.get()) {}
 
  private:
+  Status OpenImpl() override { return child_->Open(); }
+  Result<bool> NextImpl(Tuple* out) override;
+  void CloseImpl() override { child_->Close(); }
+
   ExecutorPtr child_;
   const Expr* predicate_;
 };
@@ -118,13 +121,16 @@ class FilterExecutor : public Executor {
 /// Computes projection expressions over child tuples.
 class ProjectExecutor : public Executor {
  public:
-  ProjectExecutor(ExecutorPtr child, const std::vector<ExprPtr>* projections)
-      : child_(std::move(child)), projections_(projections) {}
-  Status Open() override { return child_->Open(); }
-  Result<bool> Next(Tuple* out) override;
-  void Close() override { child_->Close(); }
+  ProjectExecutor(PlanNode* node, ExecutorPtr child)
+      : Executor(node),
+        child_(std::move(child)),
+        projections_(&node->projections) {}
 
  private:
+  Status OpenImpl() override { return child_->Open(); }
+  Result<bool> NextImpl(Tuple* out) override;
+  void CloseImpl() override { child_->Close(); }
+
   ExecutorPtr child_;
   const std::vector<ExprPtr>* projections_;
   Tuple scratch_;
@@ -135,18 +141,18 @@ class ProjectExecutor : public Executor {
 /// over the concatenated tuple.
 class NestedLoopJoinExecutor : public Executor {
  public:
-  NestedLoopJoinExecutor(ExecutorPtr left, ExecutorPtr right, JoinType type,
-                         const Expr* predicate, size_t right_arity)
-      : left_(std::move(left)),
+  NestedLoopJoinExecutor(PlanNode* node, ExecutorPtr left, ExecutorPtr right)
+      : Executor(node),
+        left_(std::move(left)),
         right_(std::move(right)),
-        type_(type),
-        predicate_(predicate),
-        right_arity_(right_arity) {}
-  Status Open() override;
-  Result<bool> Next(Tuple* out) override;
-  void Close() override;
+        type_(node->join_type),
+        predicate_(node->predicate.get()),
+        right_arity_(node->child(1)->output_schema.num_columns()) {}
 
  private:
+  Status OpenImpl() override;
+  Result<bool> NextImpl(Tuple* out) override;
+  void CloseImpl() override;
   Result<bool> AdvanceOuter();
 
   ExecutorPtr left_, right_;
@@ -165,20 +171,19 @@ class NestedLoopJoinExecutor : public Executor {
 /// inner / left-outer / semi / anti plus an optional residual predicate.
 class HashJoinExecutor : public Executor {
  public:
-  HashJoinExecutor(ExecutorPtr left, ExecutorPtr right, JoinType type,
-                   const std::vector<std::pair<int, int>>* keys,
-                   const Expr* residual, size_t right_arity)
-      : left_(std::move(left)),
+  HashJoinExecutor(PlanNode* node, ExecutorPtr left, ExecutorPtr right)
+      : Executor(node),
+        left_(std::move(left)),
         right_(std::move(right)),
-        type_(type),
-        keys_(keys),
-        residual_(residual),
-        right_arity_(right_arity) {}
-  Status Open() override;
-  Result<bool> Next(Tuple* out) override;
-  void Close() override;
+        type_(node->join_type),
+        keys_(&node->join_keys),
+        residual_(node->predicate.get()),
+        right_arity_(node->child(1)->output_schema.num_columns()) {}
 
  private:
+  Status OpenImpl() override;
+  Result<bool> NextImpl(Tuple* out) override;
+  void CloseImpl() override;
   Tuple LeftKey(const Tuple& t) const;
 
   ExecutorPtr left_, right_;
@@ -200,18 +205,17 @@ class HashJoinExecutor : public Executor {
 /// handle duplicates.
 class MergeJoinExecutor : public Executor {
  public:
-  MergeJoinExecutor(ExecutorPtr left, ExecutorPtr right,
-                    const std::vector<std::pair<int, int>>* keys,
-                    const Expr* residual)
-      : left_(std::move(left)),
+  MergeJoinExecutor(PlanNode* node, ExecutorPtr left, ExecutorPtr right)
+      : Executor(node),
+        left_(std::move(left)),
         right_(std::move(right)),
-        keys_(keys),
-        residual_(residual) {}
-  Status Open() override;
-  Result<bool> Next(Tuple* out) override;
-  void Close() override;
+        keys_(&node->join_keys),
+        residual_(node->predicate.get()) {}
 
  private:
+  Status OpenImpl() override;
+  Result<bool> NextImpl(Tuple* out) override;
+  void CloseImpl() override;
   int CompareKeys(const Tuple& l, const Tuple& r) const;
   Result<bool> FillRightGroup();
 
@@ -231,14 +235,17 @@ class MergeJoinExecutor : public Executor {
 /// Blocking full sort.
 class SortExecutor : public Executor {
  public:
-  SortExecutor(ExecutorPtr child, const std::vector<int>* keys,
-               const std::vector<bool>* desc)
-      : child_(std::move(child)), keys_(keys), desc_(desc) {}
-  Status Open() override;
-  Result<bool> Next(Tuple* out) override;
-  void Close() override;
+  SortExecutor(PlanNode* node, ExecutorPtr child)
+      : Executor(node),
+        child_(std::move(child)),
+        keys_(&node->sort_keys),
+        desc_(&node->sort_desc) {}
 
  private:
+  Status OpenImpl() override;
+  Result<bool> NextImpl(Tuple* out) override;
+  void CloseImpl() override;
+
   ExecutorPtr child_;
   const std::vector<int>* keys_;
   const std::vector<bool>* desc_;
@@ -251,12 +258,14 @@ class SortExecutor : public Executor {
 /// vs run-time example rests on exactly this behaviour).
 class MaterializeExecutor : public Executor {
  public:
-  explicit MaterializeExecutor(ExecutorPtr child) : child_(std::move(child)) {}
-  Status Open() override;
-  Result<bool> Next(Tuple* out) override;
-  void Close() override;
+  MaterializeExecutor(PlanNode* node, ExecutorPtr child)
+      : Executor(node), child_(std::move(child)) {}
 
  private:
+  Status OpenImpl() override;
+  Result<bool> NextImpl(Tuple* out) override;
+  void CloseImpl() override { next_ = 0; }
+
   ExecutorPtr child_;
   bool filled_ = false;
   std::vector<Tuple> buffer_;
@@ -267,17 +276,18 @@ class MaterializeExecutor : public Executor {
 /// AggSpecs, applies an optional HAVING predicate over the output row.
 class HashAggregateExecutor : public Executor {
  public:
-  HashAggregateExecutor(ExecutorPtr child, const std::vector<int>* group_keys,
-                        const std::vector<AggSpec>* aggs, const Expr* having)
-      : child_(std::move(child)),
-        group_keys_(group_keys),
-        aggs_(aggs),
-        having_(having) {}
-  Status Open() override;
-  Result<bool> Next(Tuple* out) override;
-  void Close() override;
+  HashAggregateExecutor(PlanNode* node, ExecutorPtr child)
+      : Executor(node),
+        child_(std::move(child)),
+        group_keys_(&node->group_keys),
+        aggs_(&node->aggregates),
+        having_(node->having.get()) {}
 
  private:
+  Status OpenImpl() override;
+  Result<bool> NextImpl(Tuple* out) override;
+  void CloseImpl() override;
+
   ExecutorPtr child_;
   const std::vector<int>* group_keys_;
   const std::vector<AggSpec>* aggs_;
@@ -290,17 +300,17 @@ class HashAggregateExecutor : public Executor {
 /// group as soon as its run ends (non-blocking start behaviour).
 class GroupAggregateExecutor : public Executor {
  public:
-  GroupAggregateExecutor(ExecutorPtr child, const std::vector<int>* group_keys,
-                         const std::vector<AggSpec>* aggs, const Expr* having)
-      : child_(std::move(child)),
-        group_keys_(group_keys),
-        aggs_(aggs),
-        having_(having) {}
-  Status Open() override;
-  Result<bool> Next(Tuple* out) override;
-  void Close() override;
+  GroupAggregateExecutor(PlanNode* node, ExecutorPtr child)
+      : Executor(node),
+        child_(std::move(child)),
+        group_keys_(&node->group_keys),
+        aggs_(&node->aggregates),
+        having_(node->having.get()) {}
 
  private:
+  Status OpenImpl() override;
+  Result<bool> NextImpl(Tuple* out) override;
+  void CloseImpl() override;
   bool SameGroup(const Tuple& a, const Tuple& b) const;
   Tuple FinalizeGroup();
 
@@ -317,16 +327,17 @@ class GroupAggregateExecutor : public Executor {
 /// LIMIT n.
 class LimitExecutor : public Executor {
  public:
-  LimitExecutor(ExecutorPtr child, int64_t limit)
-      : child_(std::move(child)), limit_(limit) {}
-  Status Open() override {
+  LimitExecutor(PlanNode* node, ExecutorPtr child)
+      : Executor(node), child_(std::move(child)), limit_(node->limit_count) {}
+
+ private:
+  Status OpenImpl() override {
     emitted_ = 0;
     return child_->Open();
   }
-  Result<bool> Next(Tuple* out) override;
-  void Close() override { child_->Close(); }
+  Result<bool> NextImpl(Tuple* out) override;
+  void CloseImpl() override { child_->Close(); }
 
- private:
   ExecutorPtr child_;
   int64_t limit_;
   int64_t emitted_ = 0;

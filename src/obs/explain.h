@@ -17,7 +17,7 @@ struct ExplainAnalyzeOptions {
 };
 
 /// \brief Human EXPLAIN ANALYZE-style tree: the optimizer's estimates and
-/// the instrumented actuals side by side — the exact estimate-error surface
+/// the executor's actuals side by side — the exact estimate-error surface
 /// the QPP models learn from (estimated vs. actual rows is the paper's
 /// Figure 7 axis).
 ///

@@ -10,11 +10,11 @@ namespace qpp::obs {
 
 /// \brief One operator's observations from a single execution.
 ///
-/// Spans are derived from the PlanActuals the instrumented executor already
-/// records (the executor's steady_clock readings) — collecting a trace adds
-/// no work to the execution path itself. Times follow the paper's
-/// semantics: `run_ms` covers the whole sub-plan rooted at the operator,
-/// `start_ms` is the time until its first output tuple.
+/// Spans are derived from the PlanActuals each operator's Executor records
+/// anyway (its steady_clock readings): callers build a trace after
+/// ExecutePlan, so tracing adds no work to the execution path itself. Times
+/// follow the paper's semantics: `run_ms` covers the whole sub-plan rooted
+/// at the operator, `start_ms` is the time until its first output tuple.
 struct TraceSpan {
   int node_id = -1;
   /// node_id of the parent operator; -1 for the root.

@@ -96,8 +96,7 @@ int AssignIdsRec(PlanNode* node, int next) {
   return next;
 }
 
-void ExplainRec(const PlanNode& node, int depth, bool actuals,
-                std::string* out) {
+void ExplainRec(const PlanNode& node, int depth, std::string* out) {
   out->append(static_cast<size_t>(2 * depth), ' ');
   out->append(PlanOpName(node.op));
   if (!node.label.empty()) {
@@ -116,20 +115,13 @@ void ExplainRec(const PlanNode& node, int depth, bool actuals,
                 node.est.startup_cost, node.est.total_cost, node.est.rows,
                 node.est.width, node.est.selectivity);
   out->append(buf);
-  if (actuals && node.actual.valid) {
-    std::snprintf(buf, sizeof(buf),
-                  "  (actual start=%.3fms run=%.3fms rows=%.0f)",
-                  node.actual.start_time_ms, node.actual.run_time_ms,
-                  node.actual.rows);
-    out->append(buf);
-  }
   if (node.predicate) {
     out->append("  filter: ");
     out->append(node.predicate->ToString());
   }
   out->append("\n");
   for (const auto& c : node.children) {
-    ExplainRec(*c, depth + 1, actuals, out);
+    ExplainRec(*c, depth + 1, out);
   }
 }
 
@@ -147,9 +139,9 @@ void CollectNodes(const PlanNode* root, std::vector<const PlanNode*>* out) {
   for (const auto& c : root->children) CollectNodes(c.get(), out);
 }
 
-std::string ExplainPlan(const PlanNode& root, bool include_actuals) {
+std::string ExplainPlan(const PlanNode& root) {
   std::string out;
-  ExplainRec(root, 0, include_actuals, &out);
+  ExplainRec(root, 0, &out);
   return out;
 }
 

@@ -90,9 +90,9 @@ struct PredicateBounds {
   bool exhaustive = false;
 };
 
-/// \brief Observed per-execution values, filled by the instrumented
-/// executor. Times cover the *sub-plan rooted at the operator*, matching the
-/// paper's start-time / run-time semantics (Section 3.2).
+/// \brief Observed per-execution values, filled by the node's Executor
+/// (exec/executors.h). Times cover the *sub-plan rooted at the operator*,
+/// matching the paper's start-time / run-time semantics (Section 3.2).
 struct PlanActuals {
   bool valid = false;
   /// Time until the operator produced its first output tuple (ms).
@@ -222,9 +222,9 @@ int AssignNodeIds(PlanNode* root);
 void CollectNodes(PlanNode* root, std::vector<PlanNode*>* out);
 void CollectNodes(const PlanNode* root, std::vector<const PlanNode*>* out);
 
-/// Multi-line EXPLAIN-style rendering with estimates (and actuals when
-/// available).
-std::string ExplainPlan(const PlanNode& root, bool include_actuals = false);
+/// Multi-line EXPLAIN-style rendering of the estimates. Actuals render
+/// beside them with obs::ExplainAnalyze.
+std::string ExplainPlan(const PlanNode& root);
 
 /// Clears actuals across the plan (called before each execution).
 void ResetActuals(PlanNode* root);

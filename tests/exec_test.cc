@@ -5,6 +5,8 @@
 
 #include "catalog/database.h"
 #include "exec/driver.h"
+#include "obs/explain.h"
+#include "obs/trace.h"
 #include "optimizer/optimizer.h"
 
 namespace qpp {
@@ -250,18 +252,33 @@ TEST_F(ExecTest, HashAggregateGroupsAndHaving) {
   EXPECT_DOUBLE_EQ(res.rows[0][2].decimal_value().ToDouble(), 30.0);
 }
 
+// Both aggregate operators, HashAggregate and (over input declared sorted)
+// GroupAggregate, emit the one row SQL requires, and HAVING still applies
+// to it.
 TEST_F(ExecTest, UngroupedAggregateOnEmptyInputEmitsOneRow) {
-  std::vector<AggSpec> aggs;
-  aggs.push_back(AggCountStar("cnt"));
-  aggs.push_back(AggSum(Col("amount"), "total"));
-  auto agg = opt_->MakeAggregate(
-      Scan("sales", Gt(Col("amount"), LitDec("999.00"))), {}, std::move(aggs),
-      nullptr);
-  ASSERT_TRUE(agg.ok());
-  auto res = Run(agg->get());
-  ASSERT_EQ(res.row_count, 1);
-  EXPECT_EQ(res.rows[0][0].int64_value(), 0);
-  EXPECT_TRUE(res.rows[0][1].is_null());
+  for (bool sorted_variant : {false, true}) {
+    auto make = [&](ExprPtr having) {
+      std::vector<AggSpec> aggs;
+      aggs.push_back(AggCountStar("cnt"));
+      aggs.push_back(AggSum(Col("amount"), "total"));
+      auto agg = opt_->MakeAggregate(
+          Scan("sales", Gt(Col("amount"), LitDec("999.00"))), {},
+          std::move(aggs), std::move(having), sorted_variant);
+      EXPECT_TRUE(agg.ok());
+      EXPECT_EQ((*agg)->op, sorted_variant ? PlanOp::kGroupAggregate
+                                           : PlanOp::kHashAggregate);
+      return std::move(*agg);
+    };
+    auto plain = make(nullptr);
+    auto res = Run(plain.get());
+    ASSERT_EQ(res.row_count, 1) << sorted_variant;
+    EXPECT_EQ(res.rows[0][0].int64_value(), 0);
+    EXPECT_TRUE(res.rows[0][1].is_null());
+    auto kept = make(Eq(Col("cnt"), LitInt(0)));
+    EXPECT_EQ(Run(kept.get()).row_count, 1) << sorted_variant;
+    auto rejected = make(Gt(Col("cnt"), LitInt(0)));
+    EXPECT_EQ(Run(rejected.get()).row_count, 0) << sorted_variant;
+  }
 }
 
 TEST_F(ExecTest, GroupAggregateOverSortedInput) {
@@ -353,9 +370,9 @@ TEST_F(ExecTest, ColdVsWarmExecution) {
 TEST_F(ExecTest, ExplainIncludesOperatorsAndActuals) {
   auto plan = Scan("users", Gt(Col("age"), LitInt(20)));
   Run(plan.get());
-  const std::string text = ExplainPlan(*plan, /*include_actuals=*/true);
+  const std::string text = obs::ExplainAnalyze(*plan);
   EXPECT_NE(text.find("SeqScan on users"), std::string::npos);
-  EXPECT_NE(text.find("actual"), std::string::npos);
+  EXPECT_NE(text.find("act rows=4"), std::string::npos);
   EXPECT_NE(text.find("filter:"), std::string::npos);
 }
 
@@ -412,24 +429,15 @@ TEST_F(ExecTest, PoolCountersMatchPerOperatorAttribution) {
   EXPECT_GT(misses, 0u);  // cold start: the scans faulted their pages in
 }
 
-TEST_F(ExecTest, TraceCollectionOffByDefault) {
-  auto plan = Scan("users", nullptr);
-  auto res = Run(plan.get());
-  EXPECT_FALSE(res.trace.has_value());
-}
-
 TEST_F(ExecTest, TraceConsistentWithLatencyAndActuals) {
   auto join = opt_->MakeJoin(PlanOp::kHashJoin, JoinType::kInner,
                              Scan("users", nullptr), Scan("sales", nullptr),
                              {{"uid", "uid2"}}, nullptr);
   ASSERT_TRUE(join.ok());
   auto plan = std::move(*join);
-  ExecutionOptions options;
-  options.collect_trace = true;
-  auto r = ExecutePlan(plan.get(), &db_, options);
+  auto r = ExecutePlan(plan.get(), &db_, {});
   ASSERT_TRUE(r.ok());
-  ASSERT_TRUE(r->trace.has_value());
-  const obs::Trace& trace = *r->trace;
+  const obs::Trace trace = obs::BuildTrace(*plan);
 
   // One span per operator, root first, total == latency.
   EXPECT_EQ(static_cast<int>(trace.spans.size()), plan->NodeCount());
