@@ -117,15 +117,29 @@ void ExpectTimingInvariants(const PlanNode& n) {
   EXPECT_LE(children_ms, n.actual.run_time_ms + 1e-9) << PlanOpName(n.op);
 }
 
+/// Renders the result rows in order, each value's ToString followed by a
+/// unit separator and each row ended by a newline.
+std::string RenderRows(const std::vector<Tuple>& rows) {
+  std::string out;
+  for (const Tuple& row : rows) {
+    for (const Value& v : row) {
+      out += v.ToString();
+      out += '\x1f';
+    }
+    out += '\n';
+  }
+  return out;
+}
+
 // Pins what the executor records on every operator of every template at
-// two bindings, cold: result rows, and per node its rows, pages and pool
-// hits and misses (timings are measured, so only their invariants are
-// checked). The digests are written by a build whose executor is known
-// good. Regenerate only from such a build:
+// two bindings, cold: the result row count, a digest of the result rows in
+// order (HashAggregate emits groups in hash-table order, so this pins
+// HashTuple values too), and per node its rows, pages and pool hits and
+// misses (timings are measured, so only their invariants are checked). The
+// digests are written by a build whose executor is known good. Regenerate
+// only from such a build:
 //   QPP_REGEN_GOLDEN=1 ./workload_test --gtest_filter='*GoldenActualDigests*'
 TEST_F(WorkloadTest, GoldenActualDigests) {
-  ExecutionOptions options;
-  options.collect_rows = false;
   std::vector<std::string> lines, dumps;
   for (int tid : tpch::AllTemplates()) {
     for (uint64_t seed : {21, 4242}) {
@@ -134,20 +148,23 @@ TEST_F(WorkloadTest, GoldenActualDigests) {
       tpch::TemplateContext ctx{&opt, db_.get(), &rng};
       auto plan = tpch::GenerateTemplateQuery(tid, &ctx);
       ASSERT_TRUE(plan.ok()) << "template " << tid;
-      auto res = ExecutePlan(plan->root.get(), db_.get(), options);
+      auto res = ExecutePlan(plan->root.get(), db_.get(), {});
       ASSERT_TRUE(res.ok()) << "template " << tid;
       ExpectTimingInvariants(*plan->root);
       std::string dump;
       DumpActuals(*plan->root, &dump);
+      const std::string rows = RenderRows(res->rows);
       lines.push_back(std::to_string(tid) + " " + std::to_string(seed) + " " +
                       std::to_string(res->row_count) + " " +
-                      ChecksumHex(Fnv1a64(dump)));
-      dumps.push_back(std::move(dump));
+                      ChecksumHex(Fnv1a64(dump)) + " " +
+                      ChecksumHex(Fnv1a64(rows)));
+      dumps.push_back(dump + rows);
     }
   }
   CheckGolden(TestDataDir() + "/golden_actuals.txt",
-              "# template seed result_rows fnv1a64(actuals dump)", lines,
-              dumps);
+              "# template seed result_rows fnv1a64(actuals dump) "
+              "fnv1a64(result rows)",
+              lines, dumps);
 }
 
 TEST_F(WorkloadTest, DifferentSeedsDifferentParameters) {
