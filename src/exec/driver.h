@@ -8,22 +8,6 @@
 
 namespace qpp {
 
-/// Binds every expression in the plan tree to its operator's input schema.
-/// Scan predicates bind against the scan's (aliased) output schema, join
-/// residuals against the concatenated child schemas, aggregate arguments
-/// against the child schema, and HAVING against the aggregate's own output
-/// schema. Requires output_schema to be populated on every node (the
-/// optimizer does this; tests can use helpers).
-Status BindPlan(PlanNode* node);
-
-/// Name resolution over a schema: exact match first, then unique
-/// unqualified-suffix match ("n_name" finds "n1.n_name" if unambiguous).
-Result<int> ResolveName(const Schema& schema, const std::string& name);
-
-/// Builds the executor tree for a bound plan; each operator records its
-/// own timings into its node's PlanActuals (see Executor).
-ExecutorPtr BuildExecutor(PlanNode* node, ExecContext* ctx);
-
 /// Execution knobs mirroring the paper's run protocol.
 struct ExecutionOptions {
   /// Flush the buffer pool first (the paper runs every query cold).
@@ -47,8 +31,11 @@ struct ExecutionResult {
 };
 
 /// Binds and runs the plan against the database, filling PlanActuals on
-/// every node (the training-data collection path). Per-operator trace
-/// spans are derived from those actuals afterwards: obs::BuildTrace(*root).
+/// every node (the training-data collection path). Every expression binds
+/// to its operator's input schema, so output_schema must be populated on
+/// every node (the optimizer does this). Scans materialize only the columns
+/// some operator above them reads; the others are null. Per-operator trace
+/// spans are derived from the actuals afterwards: obs::BuildTrace(*root).
 Result<ExecutionResult> ExecutePlan(PlanNode* root, Database* db,
                                     const ExecutionOptions& options = {});
 

@@ -33,8 +33,23 @@ void ConcatNullRight(const Tuple& l, size_t right_arity, Tuple* out) {
   for (size_t i = 0; i < right_arity; ++i) out->push_back(Value::Null());
 }
 
-// Opens `child`, passes each of its rows to `consume`, and closes it: the
-// build phase of every blocking operator.
+// HashTuple of a join key, computed where it lies in `row`: the key's left
+// (probe) columns, or its right ones on the build side. False, with *hash
+// unset, when a key value is null, since null keys never join.
+bool HashJoinKey(const Tuple& row, const std::vector<std::pair<int, int>>& keys,
+                 bool build_side, size_t* hash) {
+  size_t h = kHashTupleSeed;
+  for (const auto& [l, r] : keys) {
+    const Value& v = row[static_cast<size_t>(build_side ? r : l)];
+    if (v.is_null()) return false;
+    h = HashCombine(h, v);
+  }
+  *hash = h;
+  return true;
+}
+
+// Opens `child`, passes each of its rows to `consume`, which may move it
+// away, and closes it: the build phase of every blocking operator.
 template <typename Consume>
 Status Drain(Executor* child, Consume&& consume) {
   QPP_RETURN_NOT_OK(child->Open());
@@ -112,11 +127,8 @@ Result<bool> SeqScanExecutor::NextImpl(Tuple* out) {
       last_page_ = page;
       node_->actual.pages += 1;
     }
-    table_->GetRow(row, &scratch_);
-    if (Accepts(predicate_, scratch_)) {
-      *out = scratch_;
-      return true;
-    }
+    table_->GetRow(row, read_, out);
+    if (Accepts(predicate_, *out)) return true;
   }
   return false;
 }
@@ -148,11 +160,8 @@ Result<bool> IndexScanExecutor::NextImpl(Tuple* out) {
       ++node_->actual.pool_misses;
     }
     node_->actual.pages += 1;
-    table_->GetRow(row, &scratch_);
-    if (Accepts(predicate_, scratch_)) {
-      *out = scratch_;
-      return true;
-    }
+    table_->GetRow(row, read_, out);
+    if (Accepts(predicate_, *out)) return true;
   }
   return false;
 }
@@ -206,34 +215,32 @@ Result<bool> NestedLoopJoinExecutor::NextImpl(Tuple* out) {
     }
     QPP_ASSIGN_OR_RETURN(bool inner_has, right_->Next(&inner_));
     if (!inner_has) {
-      const bool was_matched = outer_matched_;
-      const Tuple outer_row = outer_;
       outer_valid_ = false;
-      if (type_ == JoinType::kAnti && !was_matched) {
-        *out = outer_row;
+      if (outer_matched_) continue;
+      if (type_ == JoinType::kAnti) {
+        *out = std::move(outer_);
         return true;
       }
-      if (type_ == JoinType::kLeftOuter && !was_matched) {
-        ConcatNullRight(outer_row, right_arity_, out);
+      if (type_ == JoinType::kLeftOuter) {
+        ConcatNullRight(outer_, right_arity_, out);
         return true;
       }
       continue;
     }
-    Concat(outer_, inner_, &combined_);
-    if (!Accepts(predicate_, combined_)) continue;
-    outer_matched_ = true;
-    switch (type_) {
-      case JoinType::kInner:
-      case JoinType::kLeftOuter:
-        *out = combined_;
-        return true;
-      case JoinType::kSemi:
-        *out = outer_;
-        outer_valid_ = false;  // one output per outer row
-        return true;
-      case JoinType::kAnti:
-        outer_valid_ = false;  // matched: skip this outer row
-        continue;
+    if (type_ == JoinType::kInner || type_ == JoinType::kLeftOuter) {
+      Concat(outer_, inner_, out);
+      if (!Accepts(predicate_, *out)) continue;
+      outer_matched_ = true;
+      return true;
+    }
+    if (predicate_ != nullptr) {
+      Concat(outer_, inner_, &combined_);
+      if (!Accepts(predicate_, combined_)) continue;
+    }
+    outer_valid_ = false;  // semi: one output per outer row; anti: skip it
+    if (type_ == JoinType::kSemi) {
+      *out = std::move(outer_);
+      return true;
     }
   }
 }
@@ -246,25 +253,14 @@ void NestedLoopJoinExecutor::CloseImpl() {
 
 // -------------------------------- HashJoin ---------------------------------
 
-Tuple HashJoinExecutor::LeftKey(const Tuple& t) const {
-  Tuple key;
-  key.reserve(keys_->size());
-  for (const auto& [l, r] : *keys_) key.push_back(t[static_cast<size_t>(l)]);
-  return key;
-}
-
 Status HashJoinExecutor::OpenImpl() {
   hash_table_.clear();
   probe_valid_ = false;
   bucket_ = nullptr;
-  QPP_RETURN_NOT_OK(Drain(right_.get(), [this](const Tuple& row) {
-    Tuple key;
-    key.reserve(keys_->size());
-    for (const auto& [l, r] : *keys_) key.push_back(row[static_cast<size_t>(r)]);
-    bool any_null = false;
-    for (const Value& v : key) any_null = any_null || v.is_null();
-    if (any_null) return;  // null keys never join
-    hash_table_[HashTuple(key)].push_back(row);
+  QPP_RETURN_NOT_OK(Drain(right_.get(), [this](Tuple& row) {
+    size_t hash = 0;
+    if (!HashJoinKey(row, *keys_, /*build_side=*/true, &hash)) return;
+    hash_table_[hash].push_back(std::move(row));
   }));
   return left_->Open();
 }
@@ -276,14 +272,11 @@ Result<bool> HashJoinExecutor::NextImpl(Tuple* out) {
       if (!has) return false;
       probe_valid_ = true;
       probe_matched_ = false;
-      const Tuple key = LeftKey(probe_);
-      bool any_null = false;
-      for (const Value& v : key) any_null = any_null || v.is_null();
-      if (any_null) {
-        bucket_ = nullptr;
-      } else {
-        auto it = hash_table_.find(HashTuple(key));
-        bucket_ = it == hash_table_.end() ? nullptr : &it->second;
+      bucket_ = nullptr;
+      size_t hash = 0;
+      if (HashJoinKey(probe_, *keys_, /*build_side=*/false, &hash)) {
+        auto it = hash_table_.find(hash);
+        if (it != hash_table_.end()) bucket_ = &it->second;
       }
       bucket_pos_ = 0;
     }
@@ -299,35 +292,33 @@ Result<bool> HashJoinExecutor::NextImpl(Tuple* out) {
         }
       }
       if (!key_equal) continue;
-      Concat(probe_, build_row, &combined_);
-      if (!Accepts(residual_, combined_)) continue;
-      probe_matched_ = true;
-      switch (type_) {
-        case JoinType::kInner:
-        case JoinType::kLeftOuter:
-          *out = combined_;
-          return true;
-        case JoinType::kSemi:
-          *out = probe_;
-          probe_valid_ = false;
-          return true;
-        case JoinType::kAnti:
-          probe_valid_ = false;
-          break;  // matched: drop this probe row
+      if (type_ == JoinType::kInner || type_ == JoinType::kLeftOuter) {
+        Concat(probe_, build_row, out);
+        if (!Accepts(residual_, *out)) continue;
+        probe_matched_ = true;
+        return true;
       }
-      if (!probe_valid_) break;  // anti moved on
+      if (residual_ != nullptr) {
+        Concat(probe_, build_row, &combined_);
+        if (!Accepts(residual_, combined_)) continue;
+      }
+      probe_valid_ = false;  // semi: one output per probe row; anti: drop it
+      if (type_ == JoinType::kSemi) {
+        *out = std::move(probe_);
+        return true;
+      }
+      break;
     }
-    if (!probe_valid_) continue;  // anti-join advanced
+    if (!probe_valid_) continue;  // anti-join matched
     // Bucket exhausted for this probe row.
-    const bool was_matched = probe_matched_;
-    const Tuple probe_row = probe_;
     probe_valid_ = false;
-    if (type_ == JoinType::kAnti && !was_matched) {
-      *out = probe_row;
+    if (probe_matched_) continue;
+    if (type_ == JoinType::kAnti) {
+      *out = std::move(probe_);
       return true;
     }
-    if (type_ == JoinType::kLeftOuter && !was_matched) {
-      ConcatNullRight(probe_row, right_arity_, out);
+    if (type_ == JoinType::kLeftOuter) {
+      ConcatNullRight(probe_, right_arity_, out);
       return true;
     }
   }
@@ -363,32 +354,28 @@ Status MergeJoinExecutor::OpenImpl() {
 }
 
 Result<bool> MergeJoinExecutor::FillRightGroup() {
-  // Collects all right rows equal (on keys) to right_row_ into right_group_.
+  // Moves all right rows equal (on keys) to right_row_ into right_group_;
+  // right_row_ is left holding the first row past the group.
   right_group_.clear();
-  right_group_.push_back(right_row_);
+  right_group_.push_back(std::move(right_row_));
   while (true) {
-    Tuple next;
-    QPP_ASSIGN_OR_RETURN(bool has, right_->Next(&next));
+    QPP_ASSIGN_OR_RETURN(bool has, right_->Next(&right_row_));
     if (!has) {
       right_valid_ = false;
       break;
     }
-    // Compare next right row against the group's representative using the
-    // right key positions on both sides.
+    // Compare the next right row against the group's representative using
+    // the right key positions on both sides.
     bool same = true;
     for (const auto& [li, ri] : *keys_) {
-      if (next[static_cast<size_t>(ri)].Compare(
+      if (right_row_[static_cast<size_t>(ri)].Compare(
               right_group_.front()[static_cast<size_t>(ri)]) != 0) {
         same = false;
         break;
       }
     }
-    if (same) {
-      right_group_.push_back(std::move(next));
-    } else {
-      right_row_ = std::move(next);
-      break;
-    }
+    if (!same) break;
+    right_group_.push_back(std::move(right_row_));
   }
   return true;
 }
@@ -397,20 +384,18 @@ Result<bool> MergeJoinExecutor::NextImpl(Tuple* out) {
   while (true) {
     if (group_active_) {
       while (group_pos_ < right_group_.size()) {
-        Concat(left_row_, right_group_[group_pos_++], &combined_);
-        if (!Accepts(residual_, combined_)) continue;
-        *out = combined_;
-        return true;
+        Concat(left_row_, right_group_[group_pos_++], out);
+        if (Accepts(residual_, *out)) return true;
       }
       // Advance left; if it stays in the same key group, replay the group.
-      Tuple prev = left_row_;
+      std::swap(prev_left_, left_row_);
       QPP_ASSIGN_OR_RETURN(bool has, left_->Next(&left_row_));
       left_valid_ = has;
       if (!has) return false;
       bool same = true;
       for (const auto& [li, ri] : *keys_) {
         if (left_row_[static_cast<size_t>(li)].Compare(
-                prev[static_cast<size_t>(li)]) != 0) {
+                prev_left_[static_cast<size_t>(li)]) != 0) {
           same = false;
           break;
         }
@@ -421,9 +406,7 @@ Result<bool> MergeJoinExecutor::NextImpl(Tuple* out) {
       }
       group_active_ = false;
     }
-    if (!left_valid_ || (!right_valid_ && right_group_.empty())) return false;
-    if (!right_valid_ && right_group_.empty()) return false;
-    if (!right_valid_) return false;
+    if (!left_valid_ || !right_valid_) return false;
     const int c = CompareKeys(left_row_, right_row_);
     if (c < 0) {
       QPP_ASSIGN_OR_RETURN(bool has, left_->Next(&left_row_));
@@ -452,8 +435,8 @@ void MergeJoinExecutor::CloseImpl() {
 Status SortExecutor::OpenImpl() {
   rows_.clear();
   next_ = 0;
-  QPP_RETURN_NOT_OK(
-      Drain(child_.get(), [this](const Tuple& row) { rows_.push_back(row); }));
+  QPP_RETURN_NOT_OK(Drain(
+      child_.get(), [this](Tuple& row) { rows_.push_back(std::move(row)); }));
   std::stable_sort(rows_.begin(), rows_.end(),
                    [this](const Tuple& a, const Tuple& b) {
                      for (size_t k = 0; k < keys_->size(); ++k) {
@@ -471,7 +454,7 @@ Status SortExecutor::OpenImpl() {
 
 Result<bool> SortExecutor::NextImpl(Tuple* out) {
   if (next_ >= rows_.size()) return false;
-  *out = rows_[next_++];
+  *out = std::move(rows_[next_++]);
   return true;
 }
 
@@ -485,8 +468,8 @@ void SortExecutor::CloseImpl() {
 Status MaterializeExecutor::OpenImpl() {
   next_ = 0;
   if (filled_) return Status::OK();
-  QPP_RETURN_NOT_OK(Drain(child_.get(),
-                          [this](const Tuple& row) { buffer_.push_back(row); }));
+  QPP_RETURN_NOT_OK(Drain(
+      child_.get(), [this](Tuple& row) { buffer_.push_back(std::move(row)); }));
   filled_ = true;
   return Status::OK();
 }
@@ -507,16 +490,16 @@ Status HashAggregateExecutor::OpenImpl() {
     std::vector<AggState> states;
   };
   std::unordered_map<size_t, std::vector<Group>> groups;
+  const std::vector<int>& keys = *group_keys_;
   QPP_RETURN_NOT_OK(Drain(child_.get(), [&](const Tuple& row) {
-    Tuple key;
-    key.reserve(group_keys_->size());
-    for (int k : *group_keys_) key.push_back(row[static_cast<size_t>(k)]);
-    auto& chain = groups[HashTuple(key)];
+    size_t hash = kHashTupleSeed;
+    for (int k : keys) hash = HashCombine(hash, row[static_cast<size_t>(k)]);
+    auto& chain = groups[hash];
     Group* group = nullptr;
     for (auto& g : chain) {
-      bool equal = g.key.size() == key.size();
-      for (size_t i = 0; equal && i < key.size(); ++i) {
-        equal = g.key[i].Compare(key[i]) == 0;
+      bool equal = true;
+      for (size_t i = 0; equal && i < keys.size(); ++i) {
+        equal = g.key[i].Compare(row[static_cast<size_t>(keys[i])]) == 0;
       }
       if (equal) {
         group = &g;
@@ -524,7 +507,10 @@ Status HashAggregateExecutor::OpenImpl() {
       }
     }
     if (group == nullptr) {
-      chain.push_back(Group{key, {}});
+      Tuple key;
+      key.reserve(keys.size());
+      for (int k : keys) key.push_back(row[static_cast<size_t>(k)]);
+      chain.push_back(Group{std::move(key), {}});
       group = &chain.back();
       group->states.reserve(aggs_->size());
       for (const auto& a : *aggs_) group->states.emplace_back(a.func);
@@ -535,7 +521,7 @@ Status HashAggregateExecutor::OpenImpl() {
     }
   }));
 
-  if (group_keys_->empty() && groups.empty()) {
+  if (keys.empty() && groups.empty()) {
     Tuple out;
     if (EmptyInputRow(*aggs_, having_, &out)) results_.push_back(std::move(out));
     return Status::OK();
@@ -543,7 +529,7 @@ Status HashAggregateExecutor::OpenImpl() {
 
   for (auto& [hash, chain] : groups) {
     for (auto& g : chain) {
-      Tuple out = g.key;
+      Tuple out = std::move(g.key);
       for (const auto& s : g.states) out.push_back(s.Finalize());
       if (Accepts(having_, out)) results_.push_back(std::move(out));
     }
@@ -553,7 +539,7 @@ Status HashAggregateExecutor::OpenImpl() {
 
 Result<bool> HashAggregateExecutor::NextImpl(Tuple* out) {
   if (next_ >= results_.size()) return false;
-  *out = results_[next_++];
+  *out = std::move(results_[next_++]);
   return true;
 }
 
@@ -573,12 +559,13 @@ bool GroupAggregateExecutor::SameGroup(const Tuple& a, const Tuple& b) const {
   return true;
 }
 
-Tuple GroupAggregateExecutor::FinalizeGroup() {
-  Tuple out;
-  out.reserve(group_keys_->size() + aggs_->size());
-  for (int k : *group_keys_) out.push_back(current_row_[static_cast<size_t>(k)]);
-  for (const auto& s : states_) out.push_back(s.Finalize());
-  return out;
+void GroupAggregateExecutor::FinalizeGroup(Tuple* out) const {
+  out->clear();
+  out->reserve(group_keys_->size() + aggs_->size());
+  for (int k : *group_keys_) {
+    out->push_back(current_row_[static_cast<size_t>(k)]);
+  }
+  for (const auto& s : states_) out->push_back(s.Finalize());
 }
 
 Status GroupAggregateExecutor::OpenImpl() {
@@ -608,15 +595,14 @@ Result<bool> GroupAggregateExecutor::NextImpl(Tuple* out) {
       states_[i].Step(spec.arg ? spec.arg->Eval(current_row_)
                                : Value::Int64(1));
     }
-    Tuple next_row;
-    QPP_ASSIGN_OR_RETURN(bool has, child_->Next(&next_row));
-    if (has && SameGroup(current_row_, next_row)) {
-      current_row_ = std::move(next_row);
+    QPP_ASSIGN_OR_RETURN(bool has, child_->Next(&next_row_));
+    if (has && SameGroup(current_row_, next_row_)) {
+      std::swap(current_row_, next_row_);
       continue;
     }
-    Tuple result = FinalizeGroup();
+    FinalizeGroup(out);
     if (has) {
-      current_row_ = std::move(next_row);
+      std::swap(current_row_, next_row_);
       states_.clear();
       states_.reserve(aggs_->size());
       for (const auto& a : *aggs_) states_.emplace_back(a.func);
@@ -624,12 +610,8 @@ Result<bool> GroupAggregateExecutor::NextImpl(Tuple* out) {
       done_ = true;
       have_row_ = false;
     }
-    if (!Accepts(having_, result)) {
-      if (done_) return false;
-      continue;
-    }
-    *out = std::move(result);
-    return true;
+    if (Accepts(having_, *out)) return true;
+    if (done_) return false;
   }
 }
 

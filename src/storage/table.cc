@@ -111,10 +111,11 @@ Value Table::GetValue(int64_t row, int col) const {
   }
 }
 
-void Table::GetRow(int64_t row, Tuple* out) const {
+void Table::GetRow(int64_t row, const std::vector<bool>& read,
+                   Tuple* out) const {
   out->resize(schema_.num_columns());
   for (size_t c = 0; c < schema_.num_columns(); ++c) {
-    (*out)[c] = GetValue(row, static_cast<int>(c));
+    (*out)[c] = read[c] ? GetValue(row, static_cast<int>(c)) : Value::Null();
   }
 }
 

@@ -16,11 +16,12 @@ namespace qpp {
 /// \brief An in-memory columnar table with logical paging and optional
 /// single-column hash indexes.
 ///
-/// Storage is columnar for compactness, but the executor reads whole rows
-/// (Volcano, tuple-at-a-time) — matching the row-store engine the paper
-/// instrumented. Rows are assigned to logical 8 KB pages by estimated row
-/// width; scans charge page reads against the BufferPool as they cross page
-/// boundaries.
+/// Storage is columnar for compactness, but the executor charges it as the
+/// row store the paper instrumented: rows are assigned to logical 8 KB
+/// pages by the full schema's estimated row width, and scans charge page
+/// reads against the BufferPool as they cross page boundaries. A scan
+/// materializes only the columns its plan reads (GetRow's mask), as
+/// PostgreSQL's scan target lists and lazy tuple deforming do.
 class Table {
  public:
   Table(int id, std::string name, Schema schema);
@@ -47,8 +48,9 @@ class Table {
   /// Reads a single cell.
   Value GetValue(int64_t row, int col) const;
 
-  /// Materializes a full row into *out (resized as needed).
-  void GetRow(int64_t row, Tuple* out) const;
+  /// Resizes *out to the schema's width, reads the cells `read` marks
+  /// (one flag per column) and sets the others null.
+  void GetRow(int64_t row, const std::vector<bool>& read, Tuple* out) const;
 
   /// Builds a hash index over an int64 column (key -> row ids). Re-building
   /// an existing index is a no-op.

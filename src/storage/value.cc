@@ -110,10 +110,8 @@ size_t Value::Hash() const {
 }
 
 size_t HashTuple(const Tuple& t) {
-  size_t h = 0x811C9DC5;
-  for (const Value& v : t) {
-    h ^= v.Hash() + 0x9E3779B9 + (h << 6) + (h >> 2);
-  }
+  size_t h = kHashTupleSeed;
+  for (const Value& v : t) h = HashCombine(h, v);
   return h;
 }
 

@@ -81,8 +81,15 @@ class Value {
 /// A tuple is a row of values; the executor is tuple-at-a-time (Volcano).
 using Tuple = std::vector<Value>;
 
-/// Hash of a multi-column key.
+/// Hash of a multi-column key: HashCombine folded over its values from
+/// kHashTupleSeed, so a key can also be hashed where it lies in a row.
 size_t HashTuple(const Tuple& t);
+
+constexpr size_t kHashTupleSeed = 0x811C9DC5;
+
+inline size_t HashCombine(size_t h, const Value& v) {
+  return h ^ (v.Hash() + 0x9E3779B9 + (h << 6) + (h >> 2));
+}
 
 /// \brief An ordered list of named, typed columns.
 class Schema {

@@ -69,6 +69,24 @@ TEST(TupleTest, HashTupleOrderSensitive) {
   EXPECT_NE(HashTuple(a), HashTuple(b));
 }
 
+// Operators hash keys where they lie in a row by folding HashCombine; that
+// must equal HashTuple of the key copied out, or group order would move.
+TEST(TupleTest, HashCombineFoldsToHashTuple) {
+  const Tuple row = {Value::Int64(4), Value::String("x"), Value::Null(),
+                     Value::MakeDecimal(Decimal(105, 2)),
+                     Value::MakeDate(Date::FromYmd(1995, 6, 17))};
+  for (const std::vector<size_t>& cols :
+       {std::vector<size_t>{}, {0}, {1, 3}, {4, 2, 0}}) {
+    Tuple key;
+    size_t h = kHashTupleSeed;
+    for (size_t c : cols) {
+      key.push_back(row[c]);
+      h = HashCombine(h, row[c]);
+    }
+    EXPECT_EQ(h, HashTuple(key)) << cols.size();
+  }
+}
+
 // ---------------------------------- Schema ----------------------------------
 
 Schema TwoColSchema() {
@@ -127,9 +145,53 @@ TEST(TableTest, AppendAndRead) {
   EXPECT_EQ(t.num_rows(), 2);
   EXPECT_EQ(t.GetValue(0, 1).string_value(), "ann");
   Tuple row;
-  t.GetRow(1, &row);
+  t.GetRow(1, {true, true}, &row);
   EXPECT_EQ(row[0].int64_value(), 2);
   EXPECT_EQ(row[1].string_value(), "bob");
+}
+
+// GetRow reads the cells its mask marks, nulls the others, and resizes the
+// tuple to the schema's width whatever it held before.
+TEST(TableTest, MaskedGetRowReadsOnlyMarkedCells) {
+  Schema s;
+  s.AddColumn("id", TypeId::kInt64);
+  s.AddColumn("name", TypeId::kString);
+  s.AddColumn("price", TypeId::kDecimal, 2);
+  Table t(1, "t", s);
+  ASSERT_TRUE(t.AppendRow({Value::Int64(7), Value::String("a long string "
+                                                          "past the SSO size"),
+                           Value::MakeDecimal(Decimal(250, 2))})
+                  .ok());
+  ASSERT_TRUE(
+      t.AppendRow({Value::Int64(8), Value::Null(), Value::Null()}).ok());
+
+  Tuple row;
+  t.GetRow(0, {true, true, true}, &row);
+  ASSERT_EQ(row.size(), 3u);
+  EXPECT_EQ(row[0].int64_value(), 7);
+  EXPECT_EQ(row[1].string_value(), "a long string past the SSO size");
+  EXPECT_EQ(row[2].decimal_value().ToString(), "2.50");
+
+  // Reusing the full row: unmarked cells become null, marked ones are read.
+  t.GetRow(0, {false, true, false}, &row);
+  ASSERT_EQ(row.size(), 3u);
+  EXPECT_TRUE(row[0].is_null());
+  EXPECT_EQ(row[1].string_value(), "a long string past the SSO size");
+  EXPECT_TRUE(row[2].is_null());
+
+  // A marked null cell reads as null; a too-wide tuple shrinks to the schema.
+  row.assign(5, Value::Int64(1));
+  t.GetRow(1, {true, false, true}, &row);
+  ASSERT_EQ(row.size(), 3u);
+  EXPECT_EQ(row[0].int64_value(), 8);
+  EXPECT_TRUE(row[1].is_null());
+  EXPECT_TRUE(row[2].is_null());
+
+  // Nothing marked: a row of nulls.
+  row.clear();
+  t.GetRow(0, {false, false, false}, &row);
+  ASSERT_EQ(row.size(), 3u);
+  for (const Value& v : row) EXPECT_TRUE(v.is_null());
 }
 
 TEST(TableTest, RejectsArityMismatch) {
