@@ -4,12 +4,12 @@
 // interactive QoS targets are met without executing anything first.
 //
 // This example runs the full serving stack from src/serve/: the trained
-// predictor is published into a ModelRegistry, arriving queries are routed
-// by an AdmissionController over a PredictionService, and every executed
-// query is fed back through the FeedbackLoop (which would hot-swap in a
-// retrained model if the workload drifted). The trained model is also saved
-// to and re-loaded from a checksummed bundle, the way a real deployment
-// separates training from serving.
+// predictor is published into a ModelRegistry, each arriving query is
+// routed by comparing its PredictionService prediction with the SLO, and
+// every executed query is fed back through the FeedbackLoop (which would
+// hot-swap in a retrained model if the workload drifted). The trained model
+// is also saved to and re-loaded from a checksummed bundle, the way a real
+// deployment separates training from serving.
 
 #include <algorithm>
 #include <cstdio>
@@ -18,7 +18,6 @@
 #include "catalog/database.h"
 #include "common/stats.h"
 #include "exec/driver.h"
-#include "serve/admission.h"
 #include "serve/feedback.h"
 #include "serve/model_store.h"
 #include "serve/registry.h"
@@ -65,10 +64,9 @@ int main() {
       std::make_shared<QueryPerformancePredictor>(std::move(*deployed)),
       bundle_path);
   serve::PredictionService service(&registry);
-
-  serve::AdmissionConfig acfg;
-  acfg.slo_ms = 60.0;
-  serve::AdmissionController admission(&service, acfg);
+  // Latency SLO of the interactive queue; predictions above it route to
+  // the batch queue.
+  constexpr double kSloMs = 60.0;
 
   serve::FeedbackConfig fcfg;
   fcfg.retrain_config = cfg;
@@ -78,11 +76,12 @@ int main() {
               static_cast<unsigned long long>(registry.current_version()),
               bundle_path.c_str());
   std::printf("Interactive SLO: %.0f ms. Simulating 45 arrivals...\n\n",
-              acfg.slo_ms);
+              kSloMs);
 
   Optimizer opt(&db);
   Rng rng(77);
   int correct = 0, total = 0;
+  int routed_interactive = 0, routed_batch = 0;
   int violations_with_routing = 0, violations_without = 0;
   std::vector<double> interactive_latencies;
   for (int i = 0; i < 45; ++i) {
@@ -93,8 +92,10 @@ int main() {
     auto plan = tpch::GenerateTemplateQuery(tid, &ctx);
     if (!plan.ok()) continue;
     QueryRecord record = RecordFromPlan(*plan, 0.0);
-    auto decision = admission.Route(record);
-    if (!decision.ok()) continue;
+    auto predicted = service.Predict(record);
+    if (!predicted.ok()) continue;
+    const bool predicted_slow = predicted->predicted_ms > kSloMs;
+    ++(predicted_slow ? routed_batch : routed_interactive);
     auto result = ExecutePlan(plan->root.get(), &db, {});
     if (!result.ok()) continue;
 
@@ -109,8 +110,7 @@ int main() {
       return 1;
     }
 
-    const bool predicted_slow = decision->route == serve::QueryRoute::kBatch;
-    const bool actually_slow = result->latency_ms > acfg.slo_ms;
+    const bool actually_slow = result->latency_ms > kSloMs;
     correct += predicted_slow == actually_slow;
     ++total;
     // Without routing every query hits the interactive queue.
@@ -132,12 +132,10 @@ int main() {
     std::printf("Interactive queue p95 latency with routing: %.1f ms\n",
                 Percentile(interactive_latencies, 95));
   }
-  const serve::AdmissionStats stats = admission.Stats();
   std::printf(
-      "Routed: %llu interactive, %llu batch; windowed model error %.2f "
+      "Routed: %d interactive, %d batch; windowed model error %.2f "
       "(drift threshold %.2f, retrains: %llu)\n",
-      static_cast<unsigned long long>(stats.interactive),
-      static_cast<unsigned long long>(stats.batch), feedback.WindowedError(),
+      routed_interactive, routed_batch, feedback.WindowedError(),
       fcfg.drift_threshold,
       static_cast<unsigned long long>(feedback.retrains_published()));
   std::remove(bundle_path.c_str());

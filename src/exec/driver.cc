@@ -184,7 +184,6 @@ Result<ExecutionResult> ExecutePlan(PlanNode* root, Database* db,
   ResetActuals(root);
   AssignNodeIds(root);
   if (options.cold_start) db->buffer_pool()->FlushAll();
-  db->buffer_pool()->ResetCounters();
 
   ExecContext ctx{db->buffer_pool()};
   ExecutorPtr exec = BuildExecutor(

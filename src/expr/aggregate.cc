@@ -2,19 +2,6 @@
 
 namespace qpp {
 
-const char* AggFuncName(AggFunc f) {
-  switch (f) {
-    case AggFunc::kCountStar: return "count(*)";
-    case AggFunc::kCount: return "count";
-    case AggFunc::kCountDistinct: return "count(distinct)";
-    case AggFunc::kSum: return "sum";
-    case AggFunc::kAvg: return "avg";
-    case AggFunc::kMin: return "min";
-    case AggFunc::kMax: return "max";
-  }
-  return "?";
-}
-
 void AggState::Step(const Value& v) {
   if (func_ == AggFunc::kCountStar) {
     ++count_;

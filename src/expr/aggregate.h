@@ -20,8 +20,6 @@ enum class AggFunc {
   kMax,
 };
 
-const char* AggFuncName(AggFunc f);
-
 /// One aggregate in a query's SELECT list: function, argument expression
 /// (null for COUNT(*)), and output column name.
 struct AggSpec {

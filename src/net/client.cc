@@ -13,6 +13,8 @@
 #include <cstring>
 #include <thread>
 
+#include "common/stats.h"
+
 namespace qpp::net {
 namespace {
 
@@ -20,17 +22,6 @@ using Clock = std::chrono::steady_clock;
 
 std::string Errno(const char* what) {
   return std::string(what) + ": " + std::strerror(errno);
-}
-
-/// Nearest-rank quantile over a sorted sample (exact, unlike the server's
-/// bucketed histogram — the two sides are expected to differ slightly).
-double SampleQuantile(const std::vector<double>& sorted, double q) {
-  if (sorted.empty()) return 0.0;
-  const double pos = q * static_cast<double>(sorted.size() - 1);
-  const size_t lo = static_cast<size_t>(pos);
-  const size_t hi = std::min(lo + 1, sorted.size() - 1);
-  const double frac = pos - static_cast<double>(lo);
-  return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
 }
 
 /// Scatter-gather width per sendmsg call (IOV_MAX is far larger, but a
@@ -278,12 +269,6 @@ Result<ClientReply> PredictionClient::Predict(const QueryRecord& record,
   return reply;
 }
 
-Status PredictionClient::FinishSending() {
-  if (fd_ < 0) return Status::Internal("client not connected");
-  if (::shutdown(fd_, SHUT_WR) < 0) return Status::IOError(Errno("shutdown"));
-  return Status::OK();
-}
-
 Result<LoadGenReport> RunLoadGenerator(const std::string& host, uint16_t port,
                                        const QueryLog& workload,
                                        const LoadGenOptions& options) {
@@ -413,10 +398,11 @@ Result<LoadGenReport> RunLoadGenerator(const std::string& host, uint16_t port,
   report.qps = wall_ms > 0.0
                    ? static_cast<double>(report.sent) / (wall_ms / 1e3)
                    : 0.0;
-  std::sort(all_latencies.begin(), all_latencies.end());
-  report.p50_us = SampleQuantile(all_latencies, 0.50);
-  report.p95_us = SampleQuantile(all_latencies, 0.95);
-  report.p99_us = SampleQuantile(all_latencies, 0.99);
+  // Exact sample quantiles (interpolated), unlike the server's bucketed
+  // histogram — the two sides are expected to differ slightly.
+  report.p50_us = Percentile(all_latencies, 50);
+  report.p95_us = Percentile(all_latencies, 95);
+  report.p99_us = Percentile(all_latencies, 99);
   return report;
 }
 

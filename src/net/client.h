@@ -79,10 +79,6 @@ class PredictionClient {
   /// containers are unpacked in order.
   Result<ClientReply> Receive();
 
-  /// Half-closes the write side, signalling the server that no more
-  /// requests follow (replies can still be read).
-  Status FinishSending();
-
  private:
   Status WriteAll(const std::string& bytes);
   /// Writes a scatter list fully, handling EINTR and partial sends; the

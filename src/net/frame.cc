@@ -77,19 +77,6 @@ const char* FrameTypeName(FrameType t) {
   return "unknown";
 }
 
-const char* ErrorCodeName(ErrorCode c) {
-  switch (c) {
-    case ErrorCode::kNone: return "none";
-    case ErrorCode::kBadRequest: return "bad_request";
-    case ErrorCode::kNoModel: return "no_model";
-    case ErrorCode::kOverloaded: return "overloaded";
-    case ErrorCode::kDeadlineExceeded: return "deadline_exceeded";
-    case ErrorCode::kShuttingDown: return "shutting_down";
-    case ErrorCode::kInternal: return "internal";
-  }
-  return "unknown";
-}
-
 std::string EncodeFrameHeader(uint8_t version, FrameType type,
                               uint64_t request_id, uint32_t payload_len) {
   std::string out;

@@ -94,7 +94,6 @@ enum class ErrorCode : uint16_t {
   /// Prediction failed for an unexpected reason (message has details).
   kInternal = 6,
 };
-const char* ErrorCodeName(ErrorCode c);
 
 struct Frame {
   uint8_t version = kProtocolVersion;

@@ -11,9 +11,6 @@
 
 #include <cerrno>
 #include <cstring>
-#include <deque>
-#include <map>
-#include <thread>
 #include <utility>
 
 namespace qpp::net {
@@ -34,7 +31,7 @@ ErrorCode CodeFromStatus(const Status& st) {
 /// stack and the bytes one sendmsg can pin.
 constexpr int kMaxFlushIov = 64;
 
-/// Per-reactor read buffer: large enough that a full batch container
+/// Reactor read buffer: large enough that a full batch container
 /// usually arrives in one or two reads.
 constexpr size_t kReadBufferBytes = 64 * 1024;
 
@@ -42,8 +39,7 @@ constexpr size_t kReadBufferBytes = 64 * 1024;
 
 /// Per-socket reactor-thread-only state. `gen` disambiguates completions
 /// that outlive the connection: the kernel reuses fds immediately, so a
-/// (fd, gen) pair — not the fd alone — names a connection (within its
-/// owning reactor; sockets never migrate between reactors).
+/// (fd, gen) pair — not the fd alone — names a connection.
 struct PredictionServer::Connection {
   int fd = -1;
   uint64_t gen = 0;
@@ -71,36 +67,12 @@ struct PredictionServer::Connection {
   bool dead = false;
 };
 
-/// One accept+epoll event loop and everything it exclusively owns. All
-/// fields except the completion queue, outstanding_batches and batch_pub
-/// are touched only by the owning reactor thread.
-struct PredictionServer::Reactor {
-  size_t index = 0;
-  std::thread thread;
-  int listen_fd = -1;
-  int epoll_fd = -1;
-  int wake_fd = -1;
-  std::map<int, std::unique_ptr<Connection>> conns;
-  std::vector<int> dead;
-  std::vector<Pending> batch;
-  uint64_t next_conn_gen = 1;
-  std::vector<char> rbuf = std::vector<char>(kReadBufferBytes);
-
-  /// Pool -> reactor completion queue (the only cross-thread mutable state
-  /// besides the shared counters).
-  OrderedMutex completions_mu;
-  std::deque<Completion> completions;
-  std::atomic<uint64_t> outstanding_batches{0};
-  /// Published micro-batch depth; reactors sum all slots into the shared
-  /// queue-depth gauge instead of contending on one atomic.
-  std::atomic<size_t> batch_pub{0};
-};
-
 PredictionServer::PredictionServer(serve::PredictionService* service,
                                    ServerConfig config, ThreadPool* pool)
     : service_(service),
       config_(std::move(config)),
       pool_(pool != nullptr ? pool : ThreadPool::Global()),
+      rbuf_(kReadBufferBytes),
       in_flight_gauge_(
           obs::MetricsRegistry::Global()->GetGauge("net.server.in_flight")),
       queue_depth_gauge_(
@@ -117,69 +89,57 @@ PredictionServer::PredictionServer(serve::PredictionService* service,
 
 PredictionServer::~PredictionServer() { Shutdown(); }
 
-Status PredictionServer::OpenReactorFds(Reactor& r, bool reuse_port,
-                                        uint16_t* bound_port) {
-  r.listen_fd =
+Result<uint16_t> PredictionServer::OpenFds() {
+  listen_fd_ =
       ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
-  if (r.listen_fd < 0) return Status::IOError(Errno("socket"));
+  if (listen_fd_ < 0) return Status::IOError(Errno("socket"));
   const int one = 1;
-  (void)::setsockopt(r.listen_fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  if (reuse_port) {
-    // Every reactor binds its own listener to the same port; the kernel
-    // hashes incoming 4-tuples across them.
-    if (::setsockopt(r.listen_fd, SOL_SOCKET, SO_REUSEPORT, &one,
-                     sizeof(one)) < 0) {
-      Status st = Status::IOError(Errno("setsockopt(SO_REUSEPORT)"));
-      CloseReactorFds(r);
-      return st;
-    }
-  }
+  (void)::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
 
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
-  addr.sin_port = htons(*bound_port);
+  addr.sin_port = htons(config_.port);
   if (::inet_pton(AF_INET, config_.host.c_str(), &addr.sin_addr) != 1) {
-    CloseReactorFds(r);
+    CloseFds();
     return Status::InvalidArgument("bad IPv4 host '" + config_.host + "'");
   }
-  if (::bind(r.listen_fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) <
+  if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) <
           0 ||
-      ::listen(r.listen_fd, SOMAXCONN) < 0) {
+      ::listen(listen_fd_, SOMAXCONN) < 0) {
     Status st = Status::IOError(Errno("bind/listen"));
-    CloseReactorFds(r);
+    CloseFds();
     return st;
   }
   sockaddr_in bound{};
   socklen_t len = sizeof(bound);
-  if (::getsockname(r.listen_fd, reinterpret_cast<sockaddr*>(&bound), &len) <
+  if (::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&bound), &len) <
       0) {
     Status st = Status::IOError(Errno("getsockname"));
-    CloseReactorFds(r);
+    CloseFds();
     return st;
   }
-  *bound_port = ntohs(bound.sin_port);
 
-  r.epoll_fd = ::epoll_create1(EPOLL_CLOEXEC);
-  r.wake_fd = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
-  if (r.epoll_fd < 0 || r.wake_fd < 0) {
+  epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
+  wake_fd_ = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
+  if (epoll_fd_ < 0 || wake_fd_ < 0) {
     Status st = Status::IOError(Errno("epoll_create1/eventfd"));
-    CloseReactorFds(r);
+    CloseFds();
     return st;
   }
   epoll_event ev{};
   ev.events = EPOLLIN | EPOLLET;
-  ev.data.fd = r.listen_fd;
-  (void)::epoll_ctl(r.epoll_fd, EPOLL_CTL_ADD, r.listen_fd, &ev);
-  ev.data.fd = r.wake_fd;
-  (void)::epoll_ctl(r.epoll_fd, EPOLL_CTL_ADD, r.wake_fd, &ev);
-  return Status::OK();
+  ev.data.fd = listen_fd_;
+  (void)::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, listen_fd_, &ev);
+  ev.data.fd = wake_fd_;
+  (void)::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, wake_fd_, &ev);
+  return static_cast<uint16_t>(ntohs(bound.sin_port));
 }
 
-void PredictionServer::CloseReactorFds(Reactor& r) {
-  if (r.listen_fd >= 0) ::close(r.listen_fd);
-  if (r.epoll_fd >= 0) ::close(r.epoll_fd);
-  if (r.wake_fd >= 0) ::close(r.wake_fd);
-  r.listen_fd = r.epoll_fd = r.wake_fd = -1;
+void PredictionServer::CloseFds() {
+  if (listen_fd_ >= 0) ::close(listen_fd_);
+  if (epoll_fd_ >= 0) ::close(epoll_fd_);
+  if (wake_fd_ >= 0) ::close(wake_fd_);
+  listen_fd_ = epoll_fd_ = wake_fd_ = -1;
 }
 
 Status PredictionServer::Start() {
@@ -188,68 +148,43 @@ Status PredictionServer::Start() {
   if (started_.exchange(true, std::memory_order_acq_rel)) {
     return Status::Internal("PredictionServer started twice");
   }
-  const size_t n_reactors = config_.reactors > 0 ? config_.reactors : 1;
-  uint16_t bound_port = config_.port;
-  for (size_t i = 0; i < n_reactors; ++i) {
-    auto r = std::make_unique<Reactor>();
-    r->index = i;
-    // Reactor 0 may bind port 0 (ephemeral); the others rebind whatever it
-    // resolved to, so SO_REUSEPORT spreading works with ephemeral ports.
-    Status st = OpenReactorFds(*r, n_reactors > 1, &bound_port);
-    if (!st.ok()) {
-      for (auto& opened : reactors_) CloseReactorFds(*opened);
-      reactors_.clear();
-      return st;
-    }
-    // qpp-lint: allow(unbounded-member-push): one entry per config_.reactors
-    reactors_.push_back(std::move(r));
-  }
+  QPP_ASSIGN_OR_RETURN(const uint16_t bound_port, OpenFds());
   port_.store(bound_port, std::memory_order_release);
   running_.store(true, std::memory_order_release);
-  for (auto& r : reactors_) {
-    Reactor* rp = r.get();
-    rp->thread = std::thread([this, rp] { ReactorLoop(*rp); });
-  }
+  thread_ = std::thread([this] { ReactorLoop(); });
   return Status::OK();
 }
 
 void PredictionServer::Shutdown() {
   std::lock_guard<OrderedMutex> lock(shutdown_mu_);
-  bool any = false;
-  for (auto& r : reactors_) any = any || r->thread.joinable();
-  if (!any) return;
+  if (!thread_.joinable()) return;
   draining_.store(true, std::memory_order_release);
-  for (auto& r : reactors_) Wake(*r);
-  for (auto& r : reactors_) {
-    if (r->thread.joinable()) r->thread.join();
-  }
-  // The wake/epoll fds are closed here, after the joins, never by a
-  // reactor: Wake() may touch wake_fd from this thread (above) and from
+  Wake();
+  thread_.join();
+  // The wake/epoll fds are closed here, after the join, never by the
+  // reactor: Wake() may touch wake_fd_ from this thread (above) and from
   // pool workers, and every such write happens-before the join (pool
-  // workers Wake() before the outstanding_batches decrement the reactor's
+  // workers Wake() before the outstanding_batches_ decrement the reactor's
   // exit condition acquires). Closing on the reactor side raced with them.
-  for (auto& r : reactors_) {
-    if (r->wake_fd >= 0) ::close(r->wake_fd);
-    if (r->epoll_fd >= 0) ::close(r->epoll_fd);
-    r->wake_fd = r->epoll_fd = -1;
-  }
+  // The reactor already closed the listen socket when the drain began.
+  CloseFds();
   running_.store(false, std::memory_order_release);
 }
 
-void PredictionServer::Wake(const Reactor& r) {
+void PredictionServer::Wake() const {
   const uint64_t one = 1;
   // The eventfd is nonblocking; on overflow (EAGAIN) it is already
   // readable, which is all a wakeup needs.
-  ssize_t n = ::write(r.wake_fd, &one, sizeof(one));
+  ssize_t n = ::write(wake_fd_, &one, sizeof(one));
   (void)n;
 }
 
-int PredictionServer::NextTimeoutMs(const Reactor& r) const {
+int PredictionServer::NextTimeoutMs() const {
   // While draining, poll: completion of the last outbox flush has no
   // dedicated wakeup, and 20 ms bounds drain-exit latency without spinning.
   int cap = draining_.load(std::memory_order_acquire) ? 20 : -1;
-  if (r.batch.empty()) return cap;
-  const auto oldest = r.batch.front().enqueued;
+  if (batch_.empty()) return cap;
+  const auto oldest = batch_.front().enqueued;
   const auto flush_at =
       oldest + std::chrono::microseconds(config_.max_delay_us);
   const auto now = Clock::now();
@@ -262,11 +197,11 @@ int PredictionServer::NextTimeoutMs(const Reactor& r) const {
   return cap < 0 ? ms : std::min(ms, cap);
 }
 
-void PredictionServer::ReactorLoop(Reactor& r) {
+void PredictionServer::ReactorLoop() {
   epoll_event events[64];
   bool accepting = true;
   while (true) {
-    const int n = ::epoll_wait(r.epoll_fd, events, 64, NextTimeoutMs(r));
+    const int n = ::epoll_wait(epoll_fd_, events, 64, NextTimeoutMs());
     if (n < 0) {
       if (errno == EINTR) continue;
       break;  // unrecoverable epoll failure; drain state below still runs
@@ -274,113 +209,103 @@ void PredictionServer::ReactorLoop(Reactor& r) {
     for (int i = 0; i < n; ++i) {
       const int fd = events[i].data.fd;
       const uint32_t mask = events[i].events;
-      if (fd == r.listen_fd) {
-        if (accepting) HandleAccept(r);
+      if (fd == listen_fd_) {
+        if (accepting) HandleAccept();
         continue;
       }
-      if (fd == r.wake_fd) {
+      if (fd == wake_fd_) {
         uint64_t drained = 0;
-        while (::read(r.wake_fd, &drained, sizeof(drained)) > 0) {
+        while (::read(wake_fd_, &drained, sizeof(drained)) > 0) {
         }
         continue;
       }
-      auto it = r.conns.find(fd);
-      if (it == r.conns.end() || it->second->dead) continue;
+      auto it = conns_.find(fd);
+      if (it == conns_.end() || it->second->dead) continue;
       Connection* conn = it->second.get();
       if ((mask & (EPOLLHUP | EPOLLERR)) != 0) {
-        MarkDead(r, conn);
+        MarkDead(conn);
         continue;
       }
-      if ((mask & EPOLLOUT) != 0) HandleWritable(r, conn);
-      if ((mask & EPOLLIN) != 0) HandleReadable(r, conn);
+      if ((mask & EPOLLOUT) != 0) HandleWritable(conn);
+      if ((mask & EPOLLIN) != 0) HandleReadable(conn);
     }
-    DrainCompletions(r);
+    DrainCompletions();
     // Flush the micro-batch when full (handled at admit), overdue, or
     // draining (no point holding requests while shutting down).
-    if (!r.batch.empty()) {
-      const bool overdue = Clock::now() - r.batch.front().enqueued >=
+    if (!batch_.empty()) {
+      const bool overdue = Clock::now() - batch_.front().enqueued >=
                            std::chrono::microseconds(config_.max_delay_us);
-      if (overdue || r.batch.size() >= config_.max_batch ||
+      if (overdue || batch_.size() >= config_.max_batch ||
           draining_.load(std::memory_order_acquire)) {
-        DispatchBatch(r);
+        DispatchBatch();
       }
     }
     // Resume connections paused for outbox backpressure once drained below
     // half the bound (hysteresis). Their read edge already fired, so read
     // now rather than waiting for an edge that will never re-arrive.
-    for (auto& [fd, conn] : r.conns) {
+    for (auto& [fd, conn] : conns_) {
       (void)fd;
       if (conn->read_paused && !conn->closing && !conn->peer_eof &&
           !conn->dead &&
           conn->outbox_bytes < config_.max_outbox_bytes / 2) {
         conn->read_paused = false;
-        HandleReadable(r, conn.get());
+        HandleReadable(conn.get());
       }
     }
-    ReapDead(r);
-    r.batch_pub.store(r.batch.size(), std::memory_order_relaxed);
-    size_t depth = 0;
-    for (const auto& other : reactors_) {
-      depth += other->batch_pub.load(std::memory_order_relaxed);
-    }
-    in_flight_gauge_->Set(
-        static_cast<double>(pending_global_.load(std::memory_order_relaxed)));
-    queue_depth_gauge_->Set(static_cast<double>(depth));
-    connections_gauge_->Set(
-        static_cast<double>(open_conns_.load(std::memory_order_relaxed)));
+    ReapDead();
+    in_flight_gauge_->Set(static_cast<double>(pending_global_));
+    queue_depth_gauge_->Set(static_cast<double>(batch_.size()));
+    connections_gauge_->Set(static_cast<double>(open_conns_));
     if (draining_.load(std::memory_order_acquire)) {
       if (accepting) {
         // Stop accepting: close the listening socket (epoll deregisters it
         // automatically). New requests on live connections now get
         // kShuttingDown from HandleFrame.
         accepting = false;
-        ::close(r.listen_fd);
-        r.listen_fd = -1;
+        ::close(listen_fd_);
+        listen_fd_ = -1;
       }
       bool outboxes_empty = true;
-      for (const auto& [fd, conn] : r.conns) {
+      for (const auto& [fd, conn] : conns_) {
         (void)fd;
         if (conn->outbox_bytes > 0) outboxes_empty = false;
       }
       bool completions_empty;
       {
-        std::lock_guard<OrderedMutex> lock(r.completions_mu);
-        completions_empty = r.completions.empty();
+        std::lock_guard<OrderedMutex> lock(completions_mu_);
+        completions_empty = completions_.empty();
       }
-      // Pool threads Wake() *before* decrementing outstanding_batches, so
+      // Pool threads Wake() *before* decrementing outstanding_batches_, so
       // observing 0 here (acquire) with empty queues means no pool thread
-      // will touch this reactor's wake_fd again — safe to exit.
-      if (r.batch.empty() && completions_empty && outboxes_empty &&
-          r.outstanding_batches.load(std::memory_order_acquire) == 0) {
+      // will touch wake_fd_ again — safe to exit.
+      if (batch_.empty() && completions_empty && outboxes_empty &&
+          outstanding_batches_.load(std::memory_order_acquire) == 0) {
         break;
       }
     }
   }
-  for (auto& [fd, conn] : r.conns) {
+  for (auto& [fd, conn] : conns_) {
     (void)conn;
     ::close(fd);
-    open_conns_.fetch_sub(1, std::memory_order_relaxed);
+    --open_conns_;
   }
-  r.conns.clear();
-  r.dead.clear();
-  if (r.listen_fd >= 0) {
-    ::close(r.listen_fd);
-    r.listen_fd = -1;
+  conns_.clear();
+  dead_.clear();
+  if (listen_fd_ >= 0) {
+    ::close(listen_fd_);
+    listen_fd_ = -1;
   }
-  // wake_fd/epoll_fd are deliberately NOT closed here: Shutdown() closes
+  // wake_fd_/epoll_fd_ are deliberately NOT closed here: Shutdown() closes
   // them after joining this thread, so concurrent Wake() calls can never
   // write to a closed (possibly recycled) descriptor.
 }
 
-void PredictionServer::HandleAccept(Reactor& r) {
+void PredictionServer::HandleAccept() {
   while (true) {
-    const int fd = ::accept4(r.listen_fd, nullptr, nullptr,
+    const int fd = ::accept4(listen_fd_, nullptr, nullptr,
                              SOCK_NONBLOCK | SOCK_CLOEXEC);
     if (fd < 0) return;  // EAGAIN (edge drained) or transient accept error
-    // fetch_add-then-check keeps the global cap race-free across reactors.
-    if (open_conns_.fetch_add(1, std::memory_order_relaxed) >=
-        config_.max_connections) {
-      open_conns_.fetch_sub(1, std::memory_order_relaxed);
+    if (open_conns_ >= config_.max_connections) {
       connections_rejected_.fetch_add(1, std::memory_order_relaxed);
       ::close(fd);
       continue;
@@ -389,43 +314,43 @@ void PredictionServer::HandleAccept(Reactor& r) {
     (void)::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     auto conn = std::make_unique<Connection>();
     conn->fd = fd;
-    conn->gen = r.next_conn_gen++;
+    conn->gen = next_conn_gen_++;
     epoll_event ev{};
     ev.events = EPOLLIN | EPOLLET;
     ev.data.fd = fd;
-    if (::epoll_ctl(r.epoll_fd, EPOLL_CTL_ADD, fd, &ev) < 0) {
-      open_conns_.fetch_sub(1, std::memory_order_relaxed);
+    if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev) < 0) {
       ::close(fd);
       continue;
     }
+    ++open_conns_;
     connections_accepted_.fetch_add(1, std::memory_order_relaxed);
-    r.conns.emplace(fd, std::move(conn));
+    conns_.emplace(fd, std::move(conn));
   }
 }
 
-void PredictionServer::HandleReadable(Reactor& r, Connection* conn) {
+void PredictionServer::HandleReadable(Connection* conn) {
   while (!conn->read_paused && !conn->dead) {
     // Serve frames decoded but not yet handled (left over from a
     // backpressure pause) before reading more bytes.
     while (!conn->read_paused && !conn->dead) {
       auto frame = conn->decoder.NextView();
       if (!frame) break;
-      HandleFrame(r, conn, *frame);
+      HandleFrame(conn, *frame);
     }
     if (conn->read_paused || conn->dead) break;
-    const ssize_t n = ::recv(conn->fd, r.rbuf.data(), r.rbuf.size(), 0);
+    const ssize_t n = ::recv(conn->fd, rbuf_.data(), rbuf_.size(), 0);
     if (n > 0) {
-      Status st = conn->decoder.Feed(r.rbuf.data(), static_cast<size_t>(n));
+      Status st = conn->decoder.Feed(rbuf_.data(), static_cast<size_t>(n));
       while (!conn->read_paused && !conn->dead) {
         auto frame = conn->decoder.NextView();
         if (!frame) break;
-        HandleFrame(r, conn, *frame);
+        HandleFrame(conn, *frame);
       }
       if (!st.ok() && !conn->closing && !conn->dead) {
         // Protocol violation: answer with a typed error, stop reading the
         // corrupt stream, close once queued replies flush.
         frame_errors_.fetch_add(1, std::memory_order_relaxed);
-        QueueError(r, conn, 0, ErrorCode::kBadRequest, st.message());
+        QueueError(conn, 0, ErrorCode::kBadRequest, st.message());
         conn->closing = true;
         conn->read_paused = true;
       }
@@ -440,21 +365,20 @@ void PredictionServer::HandleReadable(Reactor& r, Connection* conn) {
     }
     if (errno == EINTR) continue;
     if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-    MarkDead(r, conn);
+    MarkDead(conn);
     return;
   }
-  MaybeCloseQuiesced(r, conn);
+  MaybeCloseQuiesced(conn);
 }
 
-void PredictionServer::HandleFrame(Reactor& r, Connection* conn,
-                                   const FrameView& frame) {
+void PredictionServer::HandleFrame(Connection* conn, const FrameView& frame) {
   if (frame.from_batch && !conn->peer_batch) {
     // The peer speaks v2: batch its replies from now on.
     conn->peer_batch = true;
   }
   if (frame.type != FrameType::kRequest) {
     frame_errors_.fetch_add(1, std::memory_order_relaxed);
-    QueueError(r, conn, frame.request_id, ErrorCode::kBadRequest,
+    QueueError(conn, frame.request_id, ErrorCode::kBadRequest,
                std::string("unexpected ") + FrameTypeName(frame.type) +
                    " frame from client");
     conn->closing = true;
@@ -466,21 +390,21 @@ void PredictionServer::HandleFrame(Reactor& r, Connection* conn,
     // Well-framed but unparseable payload: typed error, connection
     // survives (framing is intact, so the stream is still in sync).
     parse_errors_.fetch_add(1, std::memory_order_relaxed);
-    QueueError(r, conn, frame.request_id, ErrorCode::kBadRequest,
+    QueueError(conn, frame.request_id, ErrorCode::kBadRequest,
                req.status().message());
     return;
   }
   if (draining_.load(std::memory_order_acquire)) {
-    QueueError(r, conn, frame.request_id, ErrorCode::kShuttingDown,
+    QueueError(conn, frame.request_id, ErrorCode::kShuttingDown,
                "server is draining");
     return;
   }
-  const size_t global = pending_global_.load(std::memory_order_relaxed);
+  const size_t global = pending_global_;
   if (conn->pending >= config_.max_pending_per_conn ||
       global >= config_.max_queue) {
     shed_overload_.fetch_add(1, std::memory_order_relaxed);
     shed_counter_->Increment();
-    QueueError(r, conn, frame.request_id, ErrorCode::kOverloaded,
+    QueueError(conn, frame.request_id, ErrorCode::kOverloaded,
                "queue full: " + std::to_string(conn->pending) +
                    " pending on connection, " + std::to_string(global) +
                    " global");
@@ -492,17 +416,15 @@ void PredictionServer::HandleFrame(Reactor& r, Connection* conn,
   p.request_id = frame.request_id;
   p.record = std::move(req->record);
   p.enqueued = Clock::now();
-  const uint32_t deadline_us =
-      req->deadline_us != 0 ? req->deadline_us : config_.default_deadline_us;
-  p.deadline = deadline_us != 0
-                   ? p.enqueued + std::chrono::microseconds(deadline_us)
+  p.deadline = req->deadline_us != 0
+                   ? p.enqueued + std::chrono::microseconds(req->deadline_us)
                    : Clock::time_point::max();
   // Admission checked right above: batch can never exceed max_queue.
-  r.batch.push_back(std::move(p));
+  batch_.push_back(std::move(p));
   ++conn->pending;
-  pending_global_.fetch_add(1, std::memory_order_relaxed);
+  ++pending_global_;
   requests_received_.fetch_add(1, std::memory_order_relaxed);
-  if (r.batch.size() >= config_.max_batch) DispatchBatch(r);
+  if (batch_.size() >= config_.max_batch) DispatchBatch();
 }
 
 void PredictionServer::AppendChunk(Connection* conn, std::string bytes) {
@@ -514,9 +436,8 @@ void PredictionServer::AppendChunk(Connection* conn, std::string bytes) {
   conn->outbox.push_back(std::move(bytes));
 }
 
-void PredictionServer::QueueReply(Reactor& r, Connection* conn,
-                                  uint64_t request_id, std::string payload,
-                                  bool is_error) {
+void PredictionServer::QueueReply(Connection* conn, uint64_t request_id,
+                                  std::string payload, bool is_error) {
   AppendChunk(conn,
               EncodeFrameHeader(kProtocolVersion,
                                 is_error ? FrameType::kError
@@ -526,16 +447,15 @@ void PredictionServer::QueueReply(Reactor& r, Connection* conn,
   AppendChunk(conn, std::move(payload));
   (is_error ? errors_sent_ : responses_sent_)
       .fetch_add(1, std::memory_order_relaxed);
-  FlushOutbox(r, conn);
+  FlushOutbox(conn);
   if (conn->outbox_bytes > config_.max_outbox_bytes && !conn->read_paused) {
     conn->read_paused = true;  // TCP backpressure: stop reading this peer
   }
 }
 
-void PredictionServer::QueueError(Reactor& r, Connection* conn,
-                                  uint64_t request_id, ErrorCode code,
-                                  const std::string& message) {
-  QueueReply(r, conn, request_id, EncodeErrorPayload(code, message),
+void PredictionServer::QueueError(Connection* conn, uint64_t request_id,
+                                  ErrorCode code, const std::string& message) {
+  QueueReply(conn, request_id, EncodeErrorPayload(code, message),
              /*is_error=*/true);
 }
 
@@ -574,12 +494,12 @@ void PredictionServer::QueueBatchedReplies(
   }
 }
 
-void PredictionServer::HandleWritable(Reactor& r, Connection* conn) {
-  FlushOutbox(r, conn);
-  MaybeCloseQuiesced(r, conn);
+void PredictionServer::HandleWritable(Connection* conn) {
+  FlushOutbox(conn);
+  MaybeCloseQuiesced(conn);
 }
 
-void PredictionServer::FlushOutbox(Reactor& r, Connection* conn) {
+void PredictionServer::FlushOutbox(Connection* conn) {
   if (conn->dead) return;
   while (conn->outbox_bytes > 0) {
     // Gather up to kMaxFlushIov chunks into one sendmsg (the scatter list
@@ -619,50 +539,49 @@ void PredictionServer::FlushOutbox(Reactor& r, Connection* conn) {
     }
     if (n < 0 && errno == EINTR) continue;
     if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-      UpdateWriteInterest(r, conn, /*want_write=*/true);
+      UpdateWriteInterest(conn, /*want_write=*/true);
       return;
     }
-    MarkDead(r, conn);
+    MarkDead(conn);
     return;
   }
-  UpdateWriteInterest(r, conn, /*want_write=*/false);
+  UpdateWriteInterest(conn, /*want_write=*/false);
 }
 
-void PredictionServer::UpdateWriteInterest(Reactor& r, Connection* conn,
+void PredictionServer::UpdateWriteInterest(Connection* conn,
                                            bool want_write) {
   if (conn->want_write == want_write) return;
   conn->want_write = want_write;
   epoll_event ev{};
   ev.events = EPOLLIN | EPOLLET | (want_write ? EPOLLOUT : 0u);
   ev.data.fd = conn->fd;
-  (void)::epoll_ctl(r.epoll_fd, EPOLL_CTL_MOD, conn->fd, &ev);
+  (void)::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, conn->fd, &ev);
 }
 
-void PredictionServer::MaybeCloseQuiesced(Reactor& r, Connection* conn) {
+void PredictionServer::MaybeCloseQuiesced(Connection* conn) {
   if (conn->dead || (!conn->closing && !conn->peer_eof)) return;
   if (conn->pending == 0 && conn->outbox_bytes == 0) {
-    MarkDead(r, conn);
+    MarkDead(conn);
   }
 }
 
-void PredictionServer::DispatchBatch(Reactor& r) {
-  if (r.batch.empty()) return;
-  auto batch = std::make_shared<std::vector<Pending>>(std::move(r.batch));
-  r.batch.clear();
+void PredictionServer::DispatchBatch() {
+  if (batch_.empty()) return;
+  auto batch = std::make_shared<std::vector<Pending>>(std::move(batch_));
+  batch_.clear();
   batches_dispatched_.fetch_add(1, std::memory_order_relaxed);
-  r.outstanding_batches.fetch_add(1, std::memory_order_relaxed);
-  Reactor* rp = &r;
+  outstanding_batches_.fetch_add(1, std::memory_order_relaxed);
   // The future is intentionally dropped: results travel through the
   // completion queue, and RunBatch never returns an error Status.
-  (void)pool_->Submit([this, rp, batch] {
-    RunBatch(rp, std::move(*batch));
+  (void)pool_->Submit([this, batch] {
+    RunBatch(std::move(*batch));
     return Status::OK();
   });
 }
 
-void PredictionServer::RunBatch(Reactor* r, std::vector<Pending> batch) {
+void PredictionServer::RunBatch(std::vector<Pending> batch) {
   // Runs on a ThreadPool worker (or inline on the reactor when the pool is
-  // width-1). Touches no reactor state: results go through r->completions.
+  // width-1). Touches no reactor state: results go through completions_.
   std::vector<Completion> done;
   done.reserve(batch.size());
   const auto now = Clock::now();
@@ -713,18 +632,18 @@ void PredictionServer::RunBatch(Reactor* r, std::vector<Pending> batch) {
     instance_latency_hist_.Observe(us);
   }
   {
-    std::lock_guard<OrderedMutex> lock(r->completions_mu);
+    std::lock_guard<OrderedMutex> lock(completions_mu_);
     for (auto& c : done) {
       // One entry per admitted request, and admission is capped upstream.
       // qpp-lint: allow(unbounded-member-push): bounded by config_.max_queue
-      r->completions.push_back(std::move(c));
+      completions_.push_back(std::move(c));
     }
   }
   // Wake strictly before the decrement: the reactor only exits (and
-  // Shutdown closes wake_fd) after seeing outstanding_batches == 0 with
+  // Shutdown closes wake_fd_) after seeing outstanding_batches_ == 0 with
   // acquire order, so this thread never writes a closed eventfd.
-  Wake(*r);
-  r->outstanding_batches.fetch_sub(1, std::memory_order_release);
+  Wake();
+  outstanding_batches_.fetch_sub(1, std::memory_order_release);
 }
 
 PredictionServer::Completion PredictionServer::MakeResponse(
@@ -753,11 +672,11 @@ PredictionServer::Completion PredictionServer::MakeError(
   return c;
 }
 
-void PredictionServer::DrainCompletions(Reactor& r) {
+void PredictionServer::DrainCompletions() {
   std::deque<Completion> local;
   {
-    std::lock_guard<OrderedMutex> lock(r.completions_mu);
-    local.swap(r.completions);
+    std::lock_guard<OrderedMutex> lock(completions_mu_);
+    local.swap(completions_);
   }
   if (local.empty()) return;
   // Group completions per connection (preserving arrival order) so a v2
@@ -767,9 +686,9 @@ void PredictionServer::DrainCompletions(Reactor& r) {
   for (auto& c : local) {
     // Every completion releases one admission slot, whether or not its
     // connection is still there to receive it.
-    pending_global_.fetch_sub(1, std::memory_order_relaxed);
-    auto it = r.conns.find(c.fd);
-    if (it == r.conns.end() || it->second->dead ||
+    --pending_global_;
+    auto it = conns_.find(c.fd);
+    if (it == conns_.end() || it->second->dead ||
         it->second->gen != c.conn_gen) {
       dropped_disconnect_.fetch_add(1, std::memory_order_relaxed);
       continue;
@@ -793,33 +712,33 @@ void PredictionServer::DrainCompletions(Reactor& r) {
         AppendChunk(conn, std::move(c->payload));
       }
     }
-    FlushOutbox(r, conn);
+    FlushOutbox(conn);
     if (conn->outbox_bytes > config_.max_outbox_bytes && !conn->read_paused) {
       conn->read_paused = true;
     }
-    MaybeCloseQuiesced(r, conn);
+    MaybeCloseQuiesced(conn);
   }
 }
 
-void PredictionServer::MarkDead(Reactor& r, Connection* conn) {
+void PredictionServer::MarkDead(Connection* conn) {
   if (conn->dead) return;
   conn->dead = true;
   // At most one entry per open connection, capped at max_connections.
   // qpp-lint: allow(unbounded-member-push): bounded by config_.max_connections
-  r.dead.push_back(conn->fd);
+  dead_.push_back(conn->fd);
 }
 
-void PredictionServer::ReapDead(Reactor& r) {
-  for (int fd : r.dead) {
-    auto it = r.conns.find(fd);
-    if (it == r.conns.end()) continue;
+void PredictionServer::ReapDead() {
+  for (int fd : dead_) {
+    auto it = conns_.find(fd);
+    if (it == conns_.end()) continue;
     // Closing deregisters the fd from epoll; any event already harvested
     // for it this cycle was skipped via the dead flag.
     ::close(fd);
-    r.conns.erase(it);
-    open_conns_.fetch_sub(1, std::memory_order_relaxed);
+    conns_.erase(it);
+    --open_conns_;
   }
-  r.dead.clear();
+  dead_.clear();
 }
 
 ServerStats PredictionServer::Stats() const {

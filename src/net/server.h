@@ -3,8 +3,11 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <deque>
+#include <map>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/ordered_mutex.h"
@@ -22,14 +25,7 @@ struct ServerConfig {
   std::string host = "127.0.0.1";
   /// 0 binds an ephemeral port; read it back with PredictionServer::port().
   uint16_t port = 0;
-  /// Accept+epoll reactor threads. Each reactor owns its own listen socket
-  /// (SO_REUSEPORT when > 1, so the kernel spreads incoming connections
-  /// across them by 4-tuple hash), epoll set, connections, micro-batch and
-  /// completion queue; the PredictionService, ThreadPool, admission caps
-  /// and stats are shared. 1 reproduces the single-reactor server exactly.
-  size_t reactors = 1;
-  /// Accepted connections beyond this (across all reactors) are rejected
-  /// (accept-then-close).
+  /// Accepted connections beyond this are rejected (accept-then-close).
   size_t max_connections = 64;
   /// Micro-batcher: dispatch when this many requests are pending...
   size_t max_batch = 32;
@@ -45,8 +41,6 @@ struct ServerConfig {
   /// When a connection's unsent response bytes exceed this, the server
   /// stops reading from it (TCP backpressure) until the outbox drains.
   size_t max_outbox_bytes = 1u << 20;
-  /// Applied to requests that carry deadline_us == 0 (0 = no deadline).
-  uint32_t default_deadline_us = 0;
 };
 
 /// Point-in-time counters of a PredictionServer. All monotone since Start.
@@ -81,15 +75,14 @@ struct ServerStats {
 /// admission control / resource managers in other processes can consult the
 /// model (Section 1 use cases).
 ///
-/// One or more reactor threads (config.reactors) each own a disjoint set of
-/// sockets: a reactor accepts on its own SO_REUSEPORT listener, reads
-/// frames (edge-triggered, non-blocking), admits requests into its adaptive
+/// One reactor thread owns every socket: it accepts, reads frames
+/// (edge-triggered, non-blocking), admits requests into an adaptive
 /// micro-batch (flushed at max_batch items or when the oldest entry is
 /// max_delay_us old, whichever first), and writes responses. Prediction
-/// itself runs on the shared ThreadPool via PredictionService::PredictBatch;
-/// completed batches hand encoded response frames back to the owning
-/// reactor through an eventfd-signalled completion queue, so reactors never
-/// compute and the pool never touches sockets.
+/// itself runs on the ThreadPool via PredictionService::PredictBatch;
+/// completed batches hand encoded response frames back to the reactor
+/// through an eventfd-signalled completion queue, so the reactor never
+/// computes and the pool never touches sockets.
 ///
 /// The wire path is copy-light end to end: the decoder yields
 /// string_view frames over its own buffer, responses are queued as
@@ -103,26 +96,25 @@ struct ServerStats {
 /// outboxes pause reading from that peer, and the frame decoder's buffer is
 /// capped. Shutdown() drains gracefully: stop accepting, fail new requests
 /// with kShuttingDown, flush every in-flight batch and outbox, then close —
-/// an admitted request is never dropped (except by its peer disconnecting),
-/// no matter how many reactors are running.
+/// an admitted request is never dropped (except by its peer disconnecting).
 class PredictionServer {
  public:
   /// `service` must outlive the server. `pool` is where batches run; null
   /// means ThreadPool::Global().
   PredictionServer(serve::PredictionService* service, ServerConfig config,
                    ThreadPool* pool = nullptr);
-  /// Joins the reactors (calls Shutdown if still running).
+  /// Joins the reactor (calls Shutdown if still running).
   ~PredictionServer();
 
   PredictionServer(const PredictionServer&) = delete;
   PredictionServer& operator=(const PredictionServer&) = delete;
 
-  /// Binds, listens and starts the reactor threads. Fails on bind/listen
+  /// Binds, listens and starts the reactor thread. Fails on bind/listen
   /// errors (e.g. port in use) without leaking fds.
   Status Start();
 
-  /// Graceful drain; idempotent; blocks until every reactor has exited.
-  /// Safe from any thread except a reactor itself.
+  /// Graceful drain; idempotent; blocks until the reactor has exited.
+  /// Safe from any thread except the reactor itself.
   void Shutdown();
 
   /// The bound port (resolves ephemeral port 0); 0 before Start.
@@ -136,7 +128,6 @@ class PredictionServer {
 
  private:
   struct Connection;
-  struct Reactor;
   /// One admitted request waiting in the micro-batch.
   struct Pending {
     int fd = -1;
@@ -158,50 +149,47 @@ class PredictionServer {
     bool is_error = false;
   };
 
-  /// Opens and binds one reactor's listen/epoll/wake fds. `*bound_port`
-  /// carries the resolved port out (and the port to reuse in).
-  Status OpenReactorFds(Reactor& r, bool reuse_port, uint16_t* bound_port);
-  static void CloseReactorFds(Reactor& r);
-  void ReactorLoop(Reactor& r);
-  void HandleAccept(Reactor& r);
-  void HandleReadable(Reactor& r, Connection* conn);
-  void HandleWritable(Reactor& r, Connection* conn);
-  void HandleFrame(Reactor& r, Connection* conn, const FrameView& frame);
+  /// Opens and binds the listen socket, epoll set and wake eventfd;
+  /// returns the bound port.
+  Result<uint16_t> OpenFds();
+  void CloseFds();
+  void ReactorLoop();
+  void HandleAccept();
+  void HandleReadable(Connection* conn);
+  void HandleWritable(Connection* conn);
+  void HandleFrame(Connection* conn, const FrameView& frame);
   /// Appends one chunk of wire bytes to the connection outbox.
   static void AppendChunk(Connection* conn, std::string bytes);
-  void QueueReply(Reactor& r, Connection* conn, uint64_t request_id,
-                  std::string payload, bool is_error);
-  void QueueError(Reactor& r, Connection* conn, uint64_t request_id,
-                  ErrorCode code, const std::string& message);
+  void QueueReply(Connection* conn, uint64_t request_id, std::string payload,
+                  bool is_error);
+  void QueueError(Connection* conn, uint64_t request_id, ErrorCode code,
+                  const std::string& message);
   /// Queues a group of completions for a v2 peer as batch container
   /// frame(s), splitting at the payload/count caps.
   void QueueBatchedReplies(Connection* conn,
                            const std::vector<Completion*>& group);
-  void FlushOutbox(Reactor& r, Connection* conn);
-  void UpdateWriteInterest(Reactor& r, Connection* conn, bool want_write);
+  void FlushOutbox(Connection* conn);
+  void UpdateWriteInterest(Connection* conn, bool want_write);
   /// Closes a half-dead connection (protocol violation or peer EOF) once
   /// every admitted request is answered and the outbox is flushed.
-  void MaybeCloseQuiesced(Reactor& r, Connection* conn);
-  void DispatchBatch(Reactor& r);
-  void RunBatch(Reactor* r, std::vector<Pending> batch);
+  void MaybeCloseQuiesced(Connection* conn);
+  void DispatchBatch();
+  void RunBatch(std::vector<Pending> batch);
   static Completion MakeResponse(
       const Pending& p, const serve::PredictionService::Prediction& pred);
   static Completion MakeError(const Pending& p, ErrorCode code,
                               const std::string& message);
-  void DrainCompletions(Reactor& r);
-  void MarkDead(Reactor& r, Connection* conn);
-  void ReapDead(Reactor& r);
+  void DrainCompletions();
+  void MarkDead(Connection* conn);
+  void ReapDead();
   /// epoll_wait timeout honouring the oldest batch entry's flush deadline.
-  int NextTimeoutMs(const Reactor& r) const;
-  static void Wake(const Reactor& r);
+  int NextTimeoutMs() const;
+  void Wake() const;
 
   serve::PredictionService* service_;
   const ServerConfig config_;
   ThreadPool* pool_;
 
-  /// Immutable after Start (threads are spawned only once every reactor is
-  /// bound), so reactor threads may read the vector without a lock.
-  std::vector<std::unique_ptr<Reactor>> reactors_;
   /// Serializes Shutdown callers (join is single-shot).
   OrderedMutex shutdown_mu_;
   std::atomic<uint16_t> port_{0};
@@ -209,10 +197,25 @@ class PredictionServer {
   std::atomic<bool> draining_{false};
   std::atomic<bool> started_{false};
 
-  /// Shared admission state (relaxed atomics: the caps are heuristics, not
-  /// invariants that order memory).
-  std::atomic<size_t> pending_global_{0};
-  std::atomic<size_t> open_conns_{0};
+  /// Reactor-thread state (Start opens the fds before spawning the
+  /// reactor; Shutdown closes them after joining it).
+  int listen_fd_ = -1;
+  int epoll_fd_ = -1;
+  int wake_fd_ = -1;
+  std::map<int, std::unique_ptr<Connection>> conns_;
+  std::vector<int> dead_;
+  std::vector<Pending> batch_;
+  uint64_t next_conn_gen_ = 1;
+  std::vector<char> rbuf_;
+  /// Admission state: admitted-but-unanswered requests and open sockets.
+  size_t pending_global_ = 0;
+  size_t open_conns_ = 0;
+
+  /// Pool -> reactor completion queue: the only mutable state pool workers
+  /// share with the reactor besides the stats counters.
+  OrderedMutex completions_mu_;
+  std::deque<Completion> completions_;
+  std::atomic<uint64_t> outstanding_batches_{0};
 
   /// Stats counters (relaxed atomics; written by reactor and pool threads).
   std::atomic<uint64_t> connections_accepted_{0};
@@ -236,6 +239,9 @@ class PredictionServer {
   /// This instance's own latency histogram (same buckets); Stats()
   /// percentiles read it.
   obs::Histogram instance_latency_hist_;
+
+  /// The reactor; declared last so every member it reads outlives it.
+  std::thread thread_;
 };
 
 }  // namespace qpp::net

@@ -38,10 +38,6 @@ double InputRowsOf(const QueryRecord& q, const OperatorRecord& op,
 
 }  // namespace
 
-const char* FeatureModeName(FeatureMode m) {
-  return m == FeatureMode::kEstimate ? "estimate" : "actual";
-}
-
 Result<FeatureMode> ParseFeatureMode(const std::string& s) {
   QPP_ASSIGN_OR_RETURN(const uint64_t mode, ParseU64(s, "feature mode"));
   if (mode > static_cast<uint64_t>(FeatureMode::kActual)) {

@@ -12,8 +12,6 @@ namespace qpp {
 /// (the Section 5.3.3 upper-bound study).
 enum class FeatureMode { kEstimate, kActual };
 
-const char* FeatureModeName(FeatureMode m);
-
 /// Parses a persisted FeatureMode number; out-of-range values are errors.
 Result<FeatureMode> ParseFeatureMode(const std::string& s);
 

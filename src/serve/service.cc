@@ -24,26 +24,14 @@ PredictionService::PredictionService(ModelRegistry* registry, ThreadPool* pool)
           obs::ExponentialBuckets(1.0, 2.0, 17))),
       instance_hist_(obs::ExponentialBuckets(1.0, 2.0, 17)) {}
 
-void PredictionService::RecordLatency(uint64_t ns) const {
-  latency_hist_->Observe(static_cast<double>(ns) / 1e3);
-  instance_hist_.Observe(static_cast<double>(ns) / 1e3);
-  latency_ns_total_.fetch_add(ns, std::memory_order_relaxed);
-  uint64_t prev = latency_ns_max_.load(std::memory_order_relaxed);
-  while (ns > prev &&
-         !latency_ns_max_.compare_exchange_weak(
-             prev, ns, std::memory_order_relaxed,
-             std::memory_order_relaxed)) {
-  }
-}
-
 Result<PredictionService::Prediction> PredictionService::PredictOnSnapshot(
     const ModelVersion& snapshot, const QueryRecord& query) const {
   const uint64_t t0 = NowNs();
   auto predicted = snapshot.predictor->PredictLatencyMs(query);
-  const uint64_t elapsed = NowNs() - t0;
+  const double elapsed_us = static_cast<double>(NowNs() - t0) / 1e3;
   requests_.fetch_add(1, std::memory_order_relaxed);
-  RecordLatency(elapsed);
-  last_version_.store(snapshot.version, std::memory_order_relaxed);
+  latency_hist_->Observe(elapsed_us);
+  instance_hist_.Observe(elapsed_us);
   if (!predicted.ok()) {
     errors_.fetch_add(1, std::memory_order_relaxed);
     return predicted.status();
@@ -83,18 +71,9 @@ ServiceStats PredictionService::Snapshot() const {
   ServiceStats s;
   s.requests = requests_.load(std::memory_order_relaxed);
   s.errors = errors_.load(std::memory_order_relaxed);
-  const double total_us =
-      static_cast<double>(latency_ns_total_.load(std::memory_order_relaxed)) /
-      1e3;
-  s.mean_latency_us =
-      s.requests == 0 ? 0.0 : total_us / static_cast<double>(s.requests);
-  s.max_latency_us =
-      static_cast<double>(latency_ns_max_.load(std::memory_order_relaxed)) /
-      1e3;
   s.p50_latency_us = instance_hist_.Quantile(0.50);
   s.p95_latency_us = instance_hist_.Quantile(0.95);
   s.p99_latency_us = instance_hist_.Quantile(0.99);
-  s.last_version = last_version_.load(std::memory_order_relaxed);
   return s;
 }
 
@@ -103,9 +82,6 @@ void PredictionService::ResetStats() {
   // sees a mix of old and new values either way.
   requests_.store(0, std::memory_order_relaxed);
   errors_.store(0, std::memory_order_relaxed);
-  latency_ns_total_.store(0, std::memory_order_relaxed);
-  latency_ns_max_.store(0, std::memory_order_relaxed);
-  last_version_.store(0, std::memory_order_relaxed);
   latency_hist_->Reset();
   instance_hist_.Reset();
 }

@@ -15,9 +15,6 @@ namespace qpp::serve {
 struct ServiceStats {
   uint64_t requests = 0;
   uint64_t errors = 0;
-  /// Mean / max per-request prediction latency, microseconds.
-  double mean_latency_us = 0.0;
-  double max_latency_us = 0.0;
   /// Latency percentiles in microseconds for THIS service instance (bucket
   /// interpolation, so approximate; 0 when no request has been served).
   /// Distinct from the process-wide "serve.predict.latency_us" histogram in
@@ -25,8 +22,6 @@ struct ServiceStats {
   double p50_latency_us = 0.0;
   double p95_latency_us = 0.0;
   double p99_latency_us = 0.0;
-  /// Model version served by the most recent request (0 if none yet).
-  uint64_t last_version = 0;
 };
 
 /// \brief Concurrent query-performance prediction front end — the
@@ -69,8 +64,6 @@ class PredictionService {
   /// obs::MetricsRegistry::Global() is still fed by every request and
   /// remains the cross-instance aggregate view.
   ServiceStats Snapshot() const;
-  /// Back-compat alias for Snapshot().
-  ServiceStats Stats() const { return Snapshot(); }
   /// Zeroes this service's counters and per-instance histogram, AND resets
   /// the shared process-wide latency histogram. Test hook.
   void ResetStats();
@@ -80,7 +73,6 @@ class PredictionService {
  private:
   Result<Prediction> PredictOnSnapshot(const ModelVersion& snapshot,
                                        const QueryRecord& query) const;
-  void RecordLatency(uint64_t ns) const;
 
   ModelRegistry* registry_;
   ThreadPool* pool_;
@@ -91,9 +83,6 @@ class PredictionService {
   mutable obs::Histogram instance_hist_;
   mutable std::atomic<uint64_t> requests_{0};
   mutable std::atomic<uint64_t> errors_{0};
-  mutable std::atomic<uint64_t> latency_ns_total_{0};
-  mutable std::atomic<uint64_t> latency_ns_max_{0};
-  mutable std::atomic<uint64_t> last_version_{0};
 };
 
 }  // namespace qpp::serve

@@ -34,7 +34,6 @@ bool BufferPool::Access(int table_id, int64_t page_index, int work_passes) {
   const Key key = MakeKey(table_id, page_index);
   auto it = pages_.find(key);
   if (it != pages_.end()) {
-    ++hits_;
     ++lifetime_hits_;
     metric_hits_->Increment();
     metric_hit_rate_->Set(static_cast<double>(lifetime_hits_) /
@@ -43,7 +42,6 @@ bool BufferPool::Access(int table_id, int64_t page_index, int work_passes) {
     lru_.splice(lru_.begin(), lru_, it->second);
     return true;
   }
-  ++misses_;
   ++lifetime_misses_;
   metric_misses_->Increment();
   metric_hit_rate_->Set(static_cast<double>(lifetime_hits_) /

@@ -46,8 +46,7 @@ class BufferPool {
 
   /// Sequential access to page `page_index` of table `table_id`. Performs
   /// read work on a miss and updates recency. Returns true on a hit, so
-  /// callers can attribute pool activity per operator without re-reading
-  /// the global counters.
+  /// callers can attribute pool activity per operator.
   bool AccessSequential(int table_id, int64_t page_index);
 
   /// Random access (index lookups); costlier on miss. Returns true on hit.
@@ -58,9 +57,6 @@ class BufferPool {
   void FlushAll();
 
   size_t num_cached_pages() const { return lru_.size(); }
-  uint64_t hits() const { return hits_; }
-  uint64_t misses() const { return misses_; }
-  void ResetCounters() { hits_ = misses_ = 0; }
 
   const Config& config() const { return config_; }
 
@@ -94,11 +90,8 @@ class BufferPool {
   Config config_;
   std::list<Key> lru_;  // front = most recent
   std::unordered_map<Key, std::list<Key>::iterator> pages_;
-  uint64_t hits_ = 0;
-  uint64_t misses_ = 0;
-  // Process-wide metrics (registry-owned, stable for process lifetime).
-  // Unlike hits_/misses_ these are never reset per execution, so the
-  // exported hit rate reflects the whole process.
+  // Process-wide metrics (registry-owned, stable for process lifetime);
+  // the exported hit rate covers every access this pool has served.
   obs::Counter* metric_hits_;
   obs::Counter* metric_misses_;
   obs::Gauge* metric_hit_rate_;

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
+#include <fcntl.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -1080,11 +1081,10 @@ TEST_F(NetServerTest, V1AndV2RequestsInterleaveOnOneConnection) {
   EXPECT_EQ(server_->Stats().parse_errors, 0u);
 }
 
-// ------------------------------ multi-reactor --------------------------------
+// ------------------------- batched load + drain ------------------------------
 
-TEST_F(NetServerTest, MultiReactorServesBatchedLoadAcrossConnections) {
+TEST_F(NetServerTest, ServesBatchedLoadAcrossConnections) {
   ServerConfig config;
-  config.reactors = 2;
   config.max_batch = 8;
   config.max_delay_us = 500;
   StartServer(config);
@@ -1108,11 +1108,10 @@ TEST_F(NetServerTest, MultiReactorServesBatchedLoadAcrossConnections) {
   EXPECT_EQ(stats.dropped_disconnect, 0u);
 }
 
-TEST_F(NetServerTest, MultiReactorDrainDeliversEveryInFlightResponse) {
+TEST_F(NetServerTest, ContainerDrainDeliversEveryInFlightResponse) {
   ServerConfig config;
-  config.reactors = 2;
-  // All in-flight requests still queued in micro-batches when Shutdown
-  // lands: the drain itself must flush them, on every reactor.
+  // All in-flight v2 requests still queued in the micro-batch when Shutdown
+  // lands: the drain itself must flush them.
   config.max_batch = 64;
   config.max_delay_us = 500000;
   StartServer(config);
@@ -1134,7 +1133,7 @@ TEST_F(NetServerTest, MultiReactorDrainDeliversEveryInFlightResponse) {
   server_->Shutdown();
   EXPECT_FALSE(server_->running());
 
-  // Zero-drop drain across reactors: every admitted request is answered.
+  // Zero-drop drain: every admitted request from every client is answered.
   for (auto& c : clients) {
     for (uint64_t i = 0; i < kPerClient; ++i) {
       auto reply = c.Receive();
@@ -1148,6 +1147,56 @@ TEST_F(NetServerTest, MultiReactorDrainDeliversEveryInFlightResponse) {
   EXPECT_EQ(stats.requests_received, total);
   EXPECT_EQ(stats.responses_sent, total);
   EXPECT_EQ(stats.dropped_disconnect, 0u);
+}
+
+// ------------------------------ start-up paths -------------------------------
+
+/// Open descriptors among the lowest 1024: the kernel hands out the lowest
+/// free number, so a socket leaked by a failed Start lands in that range.
+int OpenDescriptorCount() {
+  int open = 0;
+  for (int fd = 0; fd < 1024; ++fd) {
+    if (::fcntl(fd, F_GETFD) != -1) ++open;
+  }
+  return open;
+}
+
+TEST_F(NetServerTest, FailedStartsLeakNoDescriptorsAndRestartIsRefused) {
+  StartServer(ServerConfig{});
+
+  // Shutdown of a server that never started returns at once.
+  PredictionServer never(service_.get(), ServerConfig{});
+  never.Shutdown();
+  EXPECT_FALSE(never.running());
+
+  const int open_before = OpenDescriptorCount();
+  ServerConfig bad_host;
+  bad_host.host = "not-an-ipv4-address";
+  PredictionServer bad(service_.get(), bad_host);
+  Status st = bad.Start();
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();
+  EXPECT_EQ(bad.port(), 0);
+  EXPECT_FALSE(bad.running());
+  EXPECT_EQ(OpenDescriptorCount(), open_before);
+
+  // The running server holds this port, so binding it again fails.
+  ServerConfig taken;
+  taken.port = server_->port();
+  PredictionServer clash(service_.get(), taken);
+  st = clash.Start();
+  EXPECT_EQ(st.code(), StatusCode::kIOError) << st.ToString();
+  EXPECT_EQ(clash.port(), 0);
+  EXPECT_FALSE(clash.running());
+  EXPECT_EQ(OpenDescriptorCount(), open_before);
+
+  // A second Start on the running server is refused and changes nothing.
+  EXPECT_EQ(server_->Start().code(), StatusCode::kInternal);
+  EXPECT_TRUE(server_->running());
+  PredictionClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server_->port()).ok());
+  auto reply = client.Predict(workload_.queries.front());
+  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  EXPECT_EQ(reply->error, ErrorCode::kNone) << reply->error_message;
 }
 
 // --------------------------- client fault injection --------------------------

@@ -1,6 +1,6 @@
 // Tests for the prediction serving subsystem (src/serve/): checksummed
 // model persistence, RCU-style registry hot-swap under concurrent load,
-// the feedback/retrain loop, and admission control on top of the service.
+// the prediction service's stats, and the feedback/retrain loop.
 //
 // Everything here runs on a fast synthetic workload (no TPC-H generation or
 // query execution) because this test is also part of the TSan tier-1 pass.
@@ -19,7 +19,6 @@
 #include "common/rng.h"
 #include "golden.h"
 #include "obs/metrics.h"
-#include "serve/admission.h"
 #include "serve/feedback.h"
 #include "serve/model_store.h"
 #include "serve/registry.h"
@@ -29,8 +28,6 @@
 namespace qpp {
 namespace {
 
-using serve::AdmissionConfig;
-using serve::AdmissionController;
 using serve::FeedbackConfig;
 using serve::FeedbackLoop;
 using serve::ModelRegistry;
@@ -291,11 +288,9 @@ TEST(ServiceTest, HotSwapUnderConcurrentPredictLoad) {
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->model_version, 1u + kPublishes);
 
-  const serve::ServiceStats stats = service.Stats();
+  const serve::ServiceStats stats = service.Snapshot();
   EXPECT_EQ(stats.errors, 0u);
   EXPECT_GE(stats.requests, predictions.load());
-  EXPECT_GT(stats.mean_latency_us, 0.0);
-  EXPECT_GE(stats.max_latency_us, stats.mean_latency_us);
 }
 
 TEST(ServiceTest, PredictBatchServesOneConsistentSnapshot) {
@@ -303,9 +298,13 @@ TEST(ServiceTest, PredictBatchServesOneConsistentSnapshot) {
   ModelRegistry registry;
   PredictionService service(&registry);
 
-  // Before any publish: the whole batch fails up front.
+  // Before any publish: the whole batch fails up front, and so does a
+  // single request; every refused request counts as an error.
   EXPECT_EQ(service.PredictBatch(log.queries).status().code(),
             StatusCode::kNotFound);
+  EXPECT_EQ(service.Predict(log.queries[0]).status().code(),
+            StatusCode::kNotFound);
+  EXPECT_EQ(service.Snapshot().errors, 1 + log.queries.size());
 
   registry.Publish(TrainShared(PredictionMethod::kHybrid, log), "initial");
   auto batch = service.PredictBatch(log.queries);
@@ -345,9 +344,6 @@ TEST(ServiceTest, SnapshotReportsLatencyPercentilesFromRegistry) {
   ASSERT_NE(hist, nullptr);
   EXPECT_EQ(hist->Count(), stats.requests);
   EXPECT_DOUBLE_EQ(hist->Quantile(0.50), stats.p50_latency_us);
-
-  // Stats() stays as an alias of Snapshot().
-  EXPECT_EQ(service.Stats().requests, stats.requests);
 
   service.ResetStats();
   const serve::ServiceStats cleared = service.Snapshot();
@@ -495,43 +491,6 @@ TEST(FeedbackTest, CorpusStaysAtRetainedCap) {
   }
   EXPECT_EQ(loop.corpus_size(), cfg.max_retained_queries);
   EXPECT_EQ(loop.retrains_triggered(), 0u);
-}
-
-// ------------------------------ admission ----------------------------------
-
-TEST(AdmissionTest, RoutesBySloAndCountsDecisions) {
-  const QueryLog log = SyntheticLog(90);
-  ModelRegistry registry;
-  PredictionService service(&registry);
-
-  AdmissionConfig acfg;
-  acfg.slo_ms = 30.0;
-  AdmissionController admission(&service, acfg);
-
-  // No model yet: routing errors are counted, not silently swallowed.
-  EXPECT_FALSE(admission.Route(log.queries[0]).ok());
-  EXPECT_EQ(admission.Stats().errors, 1u);
-
-  registry.Publish(TrainShared(PredictionMethod::kOperatorLevel, log),
-                   "initial");
-  int interactive = 0, batch = 0;
-  for (const QueryRecord& q : log.queries) {
-    auto d = admission.Route(q);
-    ASSERT_TRUE(d.ok());
-    auto p = service.Predict(q);
-    ASSERT_TRUE(p.ok());
-    EXPECT_EQ(d->route, p->predicted_ms > acfg.slo_ms
-                            ? serve::QueryRoute::kBatch
-                            : serve::QueryRoute::kInteractive);
-    EXPECT_EQ(d->model_version, 1u);
-    (d->route == serve::QueryRoute::kBatch ? batch : interactive)++;
-  }
-  // The synthetic workload spans fast and slow queries across the SLO.
-  EXPECT_GT(interactive, 0);
-  EXPECT_GT(batch, 0);
-  const serve::AdmissionStats stats = admission.Stats();
-  EXPECT_EQ(stats.interactive, static_cast<uint64_t>(interactive));
-  EXPECT_EQ(stats.batch, static_cast<uint64_t>(batch));
 }
 
 // ------------------------------ checksum -----------------------------------

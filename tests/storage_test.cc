@@ -259,19 +259,15 @@ TEST(TableTest, IndexOnMissingColumnFails) {
 
 TEST(BufferPoolTest, MissThenHit) {
   BufferPool pool;
-  pool.AccessSequential(1, 0);
-  EXPECT_EQ(pool.misses(), 1u);
-  EXPECT_EQ(pool.hits(), 0u);
-  pool.AccessSequential(1, 0);
-  EXPECT_EQ(pool.hits(), 1u);
+  EXPECT_FALSE(pool.AccessSequential(1, 0));
+  EXPECT_TRUE(pool.AccessSequential(1, 0));
   EXPECT_EQ(pool.num_cached_pages(), 1u);
 }
 
 TEST(BufferPoolTest, DistinctTablesDistinctPages) {
   BufferPool pool;
-  pool.AccessSequential(1, 0);
-  pool.AccessSequential(2, 0);
-  EXPECT_EQ(pool.misses(), 2u);
+  EXPECT_FALSE(pool.AccessSequential(1, 0));
+  EXPECT_FALSE(pool.AccessSequential(2, 0));
   EXPECT_EQ(pool.num_cached_pages(), 2u);
 }
 
@@ -284,20 +280,16 @@ TEST(BufferPoolTest, LruEviction) {
   pool.AccessSequential(1, 0);  // refresh page 0
   pool.AccessSequential(1, 2);  // evicts page 1 (LRU)
   EXPECT_EQ(pool.num_cached_pages(), 2u);
-  pool.ResetCounters();
-  pool.AccessSequential(1, 0);
-  EXPECT_EQ(pool.hits(), 1u);
-  pool.AccessSequential(1, 1);
-  EXPECT_EQ(pool.misses(), 1u);  // was evicted
+  EXPECT_TRUE(pool.AccessSequential(1, 0));
+  EXPECT_FALSE(pool.AccessSequential(1, 1));  // was evicted
 }
 
 TEST(BufferPoolTest, FlushAllColdStart) {
   BufferPool pool;
-  pool.AccessSequential(1, 0);
+  EXPECT_FALSE(pool.AccessSequential(1, 0));
   pool.FlushAll();
   EXPECT_EQ(pool.num_cached_pages(), 0u);
-  pool.AccessSequential(1, 0);
-  EXPECT_EQ(pool.misses(), 2u);
+  EXPECT_FALSE(pool.AccessSequential(1, 0));
 }
 
 TEST(BufferPoolTest, AccessReturnsHitStatus) {
