@@ -5,6 +5,12 @@
 #include <map>
 
 namespace qpp {
+namespace {
+
+/// Seed of ANALYZE's row-sample draws (Analyze mixes in the table id).
+constexpr uint64_t kAnalyzeSeed = 0xA11A1;
+
+}  // namespace
 
 Status Database::AddTable(std::unique_ptr<Table> table) {
   if (by_name_.count(table->name())) {
@@ -61,7 +67,7 @@ const Table* Database::TableWithColumn(const std::string& column) const {
 }
 
 Status Database::AnalyzeAll(const AnalyzeConfig& config) {
-  Rng rng(config.seed);
+  Rng rng(kAnalyzeSeed);
   for (const auto& t : tables_) {
     QPP_RETURN_NOT_OK(AnalyzeTable(*t, config, &rng));
   }
@@ -72,7 +78,7 @@ Status Database::Analyze(const std::string& table_name,
                          const AnalyzeConfig& config) {
   const Table* t = GetTable(table_name);
   if (t == nullptr) return Status::NotFound("table " + table_name);
-  Rng rng(config.seed ^ static_cast<uint64_t>(t->id()));
+  Rng rng(kAnalyzeSeed ^ static_cast<uint64_t>(t->id()));
   return AnalyzeTable(*t, config, &rng);
 }
 
@@ -157,8 +163,9 @@ Status Database::AnalyzeTable(const Table& table, const AnalyzeConfig& config,
     cs.min_value = numeric.front();
     cs.max_value = numeric.back();
 
-    // MCVs: values appearing more than ~1.25x the average frequency, like
-    // PostgreSQL's "common enough to matter" rule.
+    // MCVs: up to kMcvCount values appearing more than ~1.25x the average
+    // frequency, like PostgreSQL's "common enough to matter" rule.
+    constexpr int kMcvCount = 20;
     std::vector<std::pair<Value, int64_t>> by_count;
     by_count.reserve(freq.size());
     for (auto& [key, vc] : freq) by_count.push_back(vc);
@@ -166,15 +173,17 @@ Status Database::AnalyzeTable(const Table& table, const AnalyzeConfig& config,
               [](const auto& a, const auto& b) { return a.second > b.second; });
     const double avg_freq = ns / d;
     for (const auto& [value, count] : by_count) {
-      if (static_cast<int>(cs.mcvs.size()) >= config.mcv_count) break;
+      if (static_cast<int>(cs.mcvs.size()) >= kMcvCount) break;
       if (static_cast<double>(count) < 1.25 * avg_freq || count < 2) break;
       cs.mcvs.emplace_back(value,
                            static_cast<double>(count) / static_cast<double>(sample_n));
     }
 
-    // Equi-depth histogram over the sorted sample.
+    // Equi-depth histogram over the sorted sample, with PostgreSQL's
+    // default 100 bins as in the paper's setup.
+    constexpr int kHistogramBins = 100;
     const int bins =
-        std::min<int>(config.histogram_bins,
+        std::min<int>(kHistogramBins,
                       std::max<int>(1, static_cast<int>(numeric.size())));
     cs.histogram.resize(static_cast<size_t>(bins) + 1);
     for (int b = 0; b <= bins; ++b) {

@@ -13,15 +13,12 @@
 
 namespace qpp {
 
-/// ANALYZE parameters (PostgreSQL defaults: 100 histogram bins as in the
-/// paper's setup, bounded row sample).
+/// ANALYZE parameters; the histogram bins, MCV count and sampling seed are
+/// constants in database.cc.
 struct AnalyzeConfig {
-  int histogram_bins = 100;
-  int mcv_count = 20;
   /// Max rows sampled per table; sampling (rather than full scans) is what
   /// gives the planner realistically imperfect statistics.
   int64_t sample_size = 30000;
-  uint64_t seed = 0xA11A1;
 };
 
 /// \brief The database instance: tables, the buffer pool they are paged

@@ -33,7 +33,7 @@ Status KdeFeedbackLoop::BuildFromDatabase(const Database& db) {
   for (const Table* table : db.tables()) {
     ModelEntry entry;
     entry.sample = std::make_shared<const TableSample>(
-        BuildTableSample(*table, config_.sample));
+        BuildTableSample(*table, KdeSampleConfig{}));
     entry.bandwidths = DefaultBandwidths(*entry.sample);
     built[table->name()] = std::move(entry);
   }
@@ -88,7 +88,7 @@ Status KdeFeedbackLoop::Ingest(const std::vector<Observation>& observations) {
       const auto it = models_.find(o.bounds.table);
       if (it == models_.end() || it->second.sample == nullptr) continue;
       if (UpdateBandwidths(*it->second.sample, o.bounds, o.actual_rows,
-                           config_.bandwidth, &it->second.bandwidths)) {
+                           &it->second.bandwidths)) {
         ++updates;
       }
     }

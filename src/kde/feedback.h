@@ -16,9 +16,9 @@
 
 namespace qpp::kde {
 
+/// Every table is sampled with the default KdeSampleConfig, and bandwidths
+/// tune with UpdateBandwidths' fixed step rules.
 struct KdeFeedbackConfig {
-  KdeSampleConfig sample;
-  KdeBandwidthConfig bandwidth;
   /// Harvested queries between automatic snapshot publishes
   /// (0 = publish after every harvest).
   size_t publish_interval = 8;

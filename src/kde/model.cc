@@ -125,8 +125,7 @@ std::optional<double> KdeSelectivity(const TableSample& sample,
 }
 
 bool UpdateBandwidths(const TableSample& sample, const PredicateBounds& bounds,
-                      double actual_rows, const KdeBandwidthConfig& config,
-                      std::vector<double>* bandwidths) {
+                      double actual_rows, std::vector<double>* bandwidths) {
   if (bandwidths->size() != sample.columns.size()) return false;
   std::vector<Dim> dims;
   if (!ResolveDims(sample, bounds, &dims) || dims.empty()) return false;
@@ -162,18 +161,26 @@ bool UpdateBandwidths(const TableSample& sample, const PredicateBounds& bounds,
   }
   const double inv_n = 1.0 / static_cast<double>(n);
   s_hat *= inv_n;
-  const double err =
-      std::log(s_hat + config.epsilon) - std::log(s_star + config.epsilon);
+  // ε of the loss: keeps empty results and zero-mass estimates finite.
+  constexpr double kLogFloor = 1e-6;
+  // Step size on ∂L/∂log h, and the per-step clamp on |Δlog h|: one
+  // pathological observation cannot move a bandwidth by more than e^±0.25.
+  constexpr double kLearningRate = 0.05;
+  constexpr double kMaxLogStep = 0.25;
+  // Hard bandwidth floor/ceiling after every update.
+  constexpr double kMinBandwidth = 1e-6;
+  constexpr double kMaxBandwidth = 1e15;
+  const double err = std::log(s_hat + kLogFloor) - std::log(s_star + kLogFloor);
 
   for (size_t d = 0; d < nd; ++d) {
     const size_t col = dims[d].col;
     const double h = (*bandwidths)[col];
     const double dl_dlogh =
-        2.0 * err * h * (grad[d] * inv_n) / (s_hat + config.epsilon);
-    double step = -config.learning_rate * dl_dlogh;
-    step = std::clamp(step, -config.max_log_step, config.max_log_step);
-    (*bandwidths)[col] = std::clamp(h * std::exp(step), config.min_bandwidth,
-                                    config.max_bandwidth);
+        2.0 * err * h * (grad[d] * inv_n) / (s_hat + kLogFloor);
+    double step = -kLearningRate * dl_dlogh;
+    step = std::clamp(step, -kMaxLogStep, kMaxLogStep);
+    (*bandwidths)[col] =
+        std::clamp(h * std::exp(step), kMinBandwidth, kMaxBandwidth);
   }
   return true;
 }

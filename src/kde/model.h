@@ -12,22 +12,6 @@
 
 namespace qpp::kde {
 
-/// Online bandwidth-tuning knobs (one gradient step per harvested
-/// observation, in log-bandwidth space — see UpdateBandwidths).
-struct KdeBandwidthConfig {
-  /// Step size on d(log-error²)/d(log h).
-  double learning_rate = 0.05;
-  /// Per-step clamp on |Δlog h| — one pathological observation cannot move
-  /// a bandwidth by more than e^±this factor.
-  double max_log_step = 0.25;
-  /// Hard bandwidth floor/ceiling after every update.
-  double min_bandwidth = 1e-6;
-  double max_bandwidth = 1e15;
-  /// Additive floor inside the logs: log(ŝ+ε) − log(s*+ε) keeps empty
-  /// results and zero-mass estimates finite.
-  double epsilon = 1e-6;
-};
-
 /// Scott's rule-of-thumb per-column bandwidths for the sample:
 /// h_d = max(σ_d · n^(−1/(D+4)), floor), with the floor keeping constant and
 /// near-constant columns usable as (approximate) delta kernels.
@@ -61,11 +45,12 @@ std::optional<double> KdeSelectivity(const TableSample& sample,
 ///   ∂ŝ/∂h_d  = (1/n) Σ_i (∏_{k≠d} F_k(i)) · ∂F_d(i)/∂h_d
 ///   ∂F_d/∂h_d = −z_hi φ(z_hi)/h_d + z_lo φ(z_lo)/h_d,  z = (bound − x)/h_d
 ///
-/// Only the observation's constrained dimensions move. Returns true when a
-/// step was applied (false: unusable bounds or sample).
+/// Each step is −kLearningRate · ∂L/∂log h_d, clamped to ±kMaxLogStep, and
+/// h_d stays within [kMinBandwidth, kMaxBandwidth]; ε is kLogFloor (all in
+/// model.cc). Only the observation's constrained dimensions move. Returns
+/// true when a step was applied (false: unusable bounds or sample).
 bool UpdateBandwidths(const TableSample& sample, const PredicateBounds& bounds,
-                      double actual_rows, const KdeBandwidthConfig& config,
-                      std::vector<double>* bandwidths);
+                      double actual_rows, std::vector<double>* bandwidths);
 
 /// \brief Immutable generation of per-table KDE models, published by
 /// KdeFeedbackLoop (common/published.h): readers resolve estimates against

@@ -62,7 +62,7 @@ Result<FeatureSelectionResult> ForwardFeatureSelection(
   // seed and the candidate's rank — not of accept/reject history, batching,
   // or thread count. A candidate re-evaluated after a speculation miss reads
   // a *copy* of its stream and therefore sees the same folds again.
-  Rng rng(config.seed);
+  Rng rng(kFeatureSelectionSeed);
   std::vector<Rng> candidate_rng;
   candidate_rng.reserve(ranked.size());
   for (size_t i = 0; i < ranked.size(); ++i) candidate_rng.push_back(rng.Fork());
@@ -70,6 +70,10 @@ Result<FeatureSelectionResult> ForwardFeatureSelection(
 
   FeatureSelectionResult result;
   result.cv_error = 1e300;
+  // A feature is accepted when it cuts CV error by more than
+  // kMinImprovement; the search stops after kPatience straight rejections.
+  constexpr double kMinImprovement = 1e-4;
+  constexpr int kPatience = 3;
   int rejections = 0;
 
   // Evaluates candidate `i` (rank order) against the current selected set.
@@ -115,7 +119,7 @@ Result<FeatureSelectionResult> ForwardFeatureSelection(
       // it — an earlier accept in the batch discards it, exactly as the
       // one-at-a-time loop never would have evaluated it with this set.
       if (!eval_status[b].ok()) return eval_status[b];
-      if (errors[b] + config.min_improvement < result.cv_error) {
+      if (errors[b] + kMinImprovement < result.cv_error) {
         result.selected.push_back(ranked[pos + b]);
         result.cv_error = errors[b];
         rejections = 0;
@@ -123,7 +127,7 @@ Result<FeatureSelectionResult> ForwardFeatureSelection(
         accepted = true;
         break;
       }
-      if (++rejections >= config.patience) {
+      if (++rejections >= kPatience) {
         stop = true;
         break;
       }

@@ -8,17 +8,16 @@
 
 namespace qpp {
 
+/// Seed of the fold streams forward feature selection draws; plan-level
+/// models fork their own CV folds from it too.
+constexpr uint64_t kFeatureSelectionSeed = 17;
+
 /// Knobs of the forward feature selection search.
 struct FeatureSelectionConfig {
   /// Cross-validation folds used to score candidate feature sets.
   int cv_folds = 3;
-  /// Stop after this many consecutive non-improving additions.
-  int patience = 3;
   /// Upper bound on selected features (<= 0 means no bound).
   int max_features = 0;
-  /// Minimum CV-error improvement to accept a feature.
-  double min_improvement = 1e-4;
-  uint64_t seed = 17;
 };
 
 /// Outcome of feature selection.
@@ -32,8 +31,8 @@ struct FeatureSelectionResult {
 /// \brief Forward feature selection (Section 2 of the paper): ranks
 /// candidate features by absolute linear correlation with the target, then
 /// best-first adds them in rank order, keeping a feature only when it
-/// improves cross-validated error; stops after `patience` consecutive
-/// rejections.
+/// improves cross-validated error by more than kMinImprovement; stops after
+/// kPatience consecutive rejections (both in feature_selection.cc).
 ///
 /// Candidate evaluations run speculatively in parallel on `pool`
 /// (ThreadPool::Global() when null): a batch of upcoming candidates is

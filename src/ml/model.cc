@@ -14,16 +14,6 @@ const char* ModelTypeName(ModelType t) {
   return "?";
 }
 
-std::unique_ptr<RegressionModel> MakeModel(ModelType type) {
-  switch (type) {
-    case ModelType::kLinearRegression:
-      return std::make_unique<LinearRegression>();
-    case ModelType::kSvr:
-      return std::make_unique<SvRegression>();
-  }
-  return nullptr;
-}
-
 Result<std::unique_ptr<RegressionModel>> DeserializeModel(
     const std::string& text) {
   if (text.empty()) return Status::InvalidArgument("empty model payload");

@@ -44,10 +44,6 @@ class RegressionModel {
   virtual std::unique_ptr<RegressionModel> CloneUntrained() const = 0;
 };
 
-/// Creates an untrained model of the given family with default
-/// hyperparameters.
-std::unique_ptr<RegressionModel> MakeModel(ModelType type);
-
 /// Restores a model from its Serialize() output.
 Result<std::unique_ptr<RegressionModel>> DeserializeModel(
     const std::string& text);

@@ -143,7 +143,9 @@ Status SvRegression::Fit(const FeatureMatrix& x, const std::vector<double>& y) {
   };
 
   // Cyclic coordinate descent on the bias-absorbed dual:
-  //   min 0.5 b'Kb - b'y + eps*|b|_1,  |b_i| <= C.
+  //   min 0.5 b'Kb - b'y + eps*|b|_1,  |b_i| <= C,
+  // until no sweep moves a dual variable by kTolerance or more.
+  constexpr double kTolerance = 1e-5;
   std::vector<double> beta(n, 0.0);
   std::vector<double> kb(n, 0.0);  // K * beta
   for (int iter = 0; iter < config_.max_iterations; ++iter) {
@@ -169,7 +171,7 @@ Status SvRegression::Fit(const FeatureMatrix& x, const std::vector<double>& y) {
         max_delta = std::max(max_delta, std::abs(delta));
       }
     }
-    if (max_delta < config_.tolerance) break;
+    if (max_delta < kTolerance) break;
   }
 
   support_.clear();

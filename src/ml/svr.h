@@ -17,10 +17,9 @@ struct SvrConfig {
   /// RBF width over [0,1]-scaled features; <= 0 means 1/num_features
   /// (libsvm's default, too smooth for this feature count in practice).
   double gamma = 0.5;
-  /// Coordinate-descent sweeps over the dual.
+  /// Coordinate-descent sweeps over the dual (fewer once the largest dual
+  /// update of a sweep falls below svr.cc's kTolerance).
   int max_iterations = 300;
-  /// Convergence threshold on the max dual update per sweep.
-  double tolerance = 1e-5;
   /// Budget for the LRU kernel-row cache used during training (libsvm's
   /// cache_size, here in bytes). Rows of the kernel matrix are computed
   /// lazily and evicted least-recently-used beyond this bound, so training

@@ -118,12 +118,6 @@ std::vector<double> ExtractPlanFeatures(const QueryRecord& query, int op_index,
   return f;
 }
 
-const std::vector<std::string>& OperatorFeatureNames() {
-  static const std::vector<std::string> names = {
-      "np", "nt", "nt1", "nt2", "sel", "st1", "rt1", "st2", "rt2"};
-  return names;
-}
-
 std::vector<double> ExtractOperatorStaticFeatures(const QueryRecord& query,
                                                   int op_index,
                                                   FeatureMode mode) {

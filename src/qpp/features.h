@@ -31,10 +31,6 @@ const std::vector<std::string>& PlanFeatureNames();
 std::vector<double> ExtractPlanFeatures(const QueryRecord& query, int op_index,
                                         FeatureMode mode);
 
-/// Names of the operator-level features (Table 2), in extraction order:
-/// np, nt, nt1, nt2, sel, st1, rt1, st2, rt2.
-const std::vector<std::string>& OperatorFeatureNames();
-
 /// Number of leading static features (np, nt, nt1, nt2, sel); the remaining
 /// four are child start/run times supplied during composition.
 constexpr int kNumOperatorStaticFeatures = 5;

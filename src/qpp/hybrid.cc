@@ -12,6 +12,10 @@
 namespace qpp {
 namespace {
 
+/// Algorithm 1 scores operator composition and trains sub-plan models on
+/// the optimizer's estimates, the features a query has when it arrives.
+constexpr FeatureMode kTrainMode = FeatureMode::kEstimate;
+
 struct Candidate {
   std::string key;
   int subtree_size = 0;
@@ -30,20 +34,26 @@ const char* PlanOrderingStrategyName(PlanOrderingStrategy s) {
   return "?";
 }
 
+TimePrediction PlanModelTimePrediction(const PlanLevelModel& model,
+                                       const QueryRecord& query, int op_index,
+                                       FeatureMode mode) {
+  const OperatorRecord& op = query.ops[static_cast<size_t>(op_index)];
+  // Plan-level models predict total run-time; derive the start-time from
+  // the optimizer's startup/total cost ratio.
+  const double run = std::max(0.0, model.Predict(query, op_index, mode));
+  const double ratio =
+      op.est.total_cost > 0 ? op.est.startup_cost / op.est.total_cost : 0.0;
+  return {std::clamp(ratio, 0.0, 1.0) * run, run};
+}
+
 PredictionOverride HybridModel::MakeOverride(const QueryRecord& query,
                                              FeatureMode mode) const {
   if (plan_models_.empty()) return nullptr;
   return [this, &query, mode](int op_index, TimePrediction* out) {
-    const OperatorRecord& op = query.ops[static_cast<size_t>(op_index)];
-    auto it = plan_models_.find(op.structural_key);
+    auto it = plan_models_.find(
+        query.ops[static_cast<size_t>(op_index)].structural_key);
     if (it == plan_models_.end()) return false;
-    const double run = std::max(0.0, it->second.Predict(query, op_index, mode));
-    // Plan-level models predict total run-time; derive the start-time from
-    // the optimizer's startup/total cost ratio.
-    const double ratio =
-        op.est.total_cost > 0 ? op.est.startup_cost / op.est.total_cost : 0.0;
-    out->run_ms = run;
-    out->start_ms = std::clamp(ratio, 0.0, 1.0) * run;
+    *out = PlanModelTimePrediction(it->second, query, op_index, mode);
     return true;
   };
 }
@@ -64,8 +74,7 @@ Status HybridModel::EvaluateTrainingError(
     const QueryRecord* q = queries[i];
     if (q->latency_ms <= 0) return Status::OK();
     const double pred =
-        op_models_.PredictQuery(*q, config_.plan_config.feature_mode,
-                                MakeOverride(*q, config_.plan_config.feature_mode));
+        op_models_.PredictQuery(*q, kTrainMode, MakeOverride(*q, kTrainMode));
     errs[i] = *RelativeError(q->latency_ms, pred);  // latency_ms > 0 above
     counted[i] = 1;
     return Status::OK();
@@ -91,7 +100,6 @@ Status HybridModel::Train(const std::vector<const QueryRecord*>& queries) {
   plan_models_.clear();
   history_.clear();
 
-  const FeatureMode mode = config_.plan_config.feature_mode;
   QPP_RETURN_NOT_OK(EvaluateTrainingError(queries, &initial_error_));
   double current_error = initial_error_;
 
@@ -110,8 +118,14 @@ Status HybridModel::Train(const std::vector<const QueryRecord*>& queries) {
     }
   }
 
+  // Algorithm 1's epsilon: a new plan-level model is kept only when it
+  // lowers the training error by at least kEpsilon. Sub-plans already
+  // predicted better than kSkipErrorThreshold are not candidates.
+  constexpr double kEpsilon = 0.002;
+  constexpr double kSkipErrorThreshold = 0.10;
   std::set<std::string> rejected;
-  PlanModelConfig sub_config = config_.plan_config;
+  PlanModelConfig sub_config;
+  sub_config.feature_mode = kTrainMode;
   sub_config.require_same_key = true;
 
   for (int iteration = 1; iteration <= config_.max_iterations; ++iteration) {
@@ -138,8 +152,9 @@ Status HybridModel::Train(const std::vector<const QueryRecord*>& queries) {
         const OperatorRecord& op =
             occ.query->ops[static_cast<size_t>(occ.op_index)];
         if (op.actual.run_time_ms <= 0) continue;
-        const TimePrediction pred = op_models_.PredictSubplan(
-            *occ.query, occ.op_index, mode, MakeOverride(*occ.query, mode));
+        const TimePrediction pred =
+            op_models_.PredictSubplan(*occ.query, occ.op_index, kTrainMode,
+                                      MakeOverride(*occ.query, kTrainMode));
         err += *RelativeError(op.actual.run_time_ms, pred.run_ms);
         ++n;
       }
@@ -151,7 +166,7 @@ Status HybridModel::Train(const std::vector<const QueryRecord*>& queries) {
     double best_rank = 0.0;
     for (Candidate* cand_ptr : eligible) {
       Candidate& cand = *cand_ptr;
-      if (cand.avg_error < config_.skip_error_threshold) continue;
+      if (cand.avg_error < kSkipErrorThreshold) continue;
 
       double rank = 0.0;
       const double freq = static_cast<double>(cand.occurrences.size());
@@ -190,7 +205,7 @@ Status HybridModel::Train(const std::vector<const QueryRecord*>& queries) {
     plan_models_[chosen->key] = std::move(model);
     double new_error = 0.0;
     QPP_RETURN_NOT_OK(EvaluateTrainingError(queries, &new_error));
-    if (new_error + config_.epsilon <= current_error) {
+    if (new_error + kEpsilon <= current_error) {
       current_error = new_error;
       record.kept = true;
     } else {

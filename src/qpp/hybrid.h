@@ -22,22 +22,25 @@ enum class PlanOrderingStrategy {
 
 const char* PlanOrderingStrategyName(PlanOrderingStrategy s);
 
-/// Configuration of hybrid training (Algorithm 1's inputs).
+/// Configuration of hybrid training (Algorithm 1's inputs; its epsilon and
+/// the candidate error floor are kEpsilon and kSkipErrorThreshold in
+/// hybrid.cc).
 struct HybridConfig {
-  OperatorModelConfig operator_config;
-  PlanModelConfig plan_config;
   PlanOrderingStrategy strategy = PlanOrderingStrategy::kErrorBased;
   /// Stop once training mean relative error drops to this.
   double target_error = 0.05;
-  /// Minimum overall improvement for a new plan-level model to be kept
-  /// (Algorithm 1's epsilon).
-  double epsilon = 0.002;
   int max_iterations = 30;
   /// Sub-plans with fewer training occurrences are not modeled.
   int min_occurrences = 10;
-  /// Sub-plans already predicted better than this are not candidates.
-  double skip_error_threshold = 0.10;
 };
+
+/// A plan-level model's prediction for the sub-plan rooted at `op_index`,
+/// as hybrid and online prediction substitute it during composition: the
+/// model's run-time, with the start-time taken from the optimizer's
+/// startup/total cost ratio.
+TimePrediction PlanModelTimePrediction(const PlanLevelModel& model,
+                                       const QueryRecord& query, int op_index,
+                                       FeatureMode mode);
 
 /// One Algorithm 1 iteration, for the Figure 8 convergence analysis.
 struct HybridIteration {

@@ -1,19 +1,14 @@
 #include "qpp/online.h"
 
-#include <algorithm>
-#include <cmath>
-
 #include "common/stats.h"
 
 namespace qpp {
 
 OnlinePredictor::OnlinePredictor(std::vector<const QueryRecord*> training,
                                  const OperatorModelSet* op_models,
-                                 PlanModelConfig plan_config,
                                  int min_occurrences)
     : training_(std::move(training)),
       op_models_(op_models),
-      plan_config_(plan_config),
       min_occurrences_(min_occurrences) {
   plan_config_.require_same_key = true;
   for (const QueryRecord* q : training_) {
@@ -98,15 +93,10 @@ double OnlinePredictor::PredictQuery(const QueryRecord& query,
   std::lock_guard<OrderedMutex> lock(mu_);
   PredictionOverride override_fn = [this, &query, mode](int op_index,
                                                         TimePrediction* out) {
-    const OperatorRecord& op = query.ops[static_cast<size_t>(op_index)];
-    auto cached = cache_.find(op.structural_key);
+    auto cached =
+        cache_.find(query.ops[static_cast<size_t>(op_index)].structural_key);
     if (cached == cache_.end() || !cached->second.has_value()) return false;
-    const double run =
-        std::max(0.0, cached->second->Predict(query, op_index, mode));
-    const double ratio =
-        op.est.total_cost > 0 ? op.est.startup_cost / op.est.total_cost : 0.0;
-    out->run_ms = run;
-    out->start_ms = std::clamp(ratio, 0.0, 1.0) * run;
+    *out = PlanModelTimePrediction(*cached->second, query, op_index, mode);
     return true;
   };
   return op_models_->PredictQuery(query, mode, override_fn);

@@ -35,10 +35,10 @@ class OnlinePredictor {
  public:
   /// `training` must outlive the predictor. `op_models` are the pre-built
   /// operator-level models (always available immediately, giving the
-  /// progressive-prediction behaviour the paper describes).
+  /// progressive-prediction behaviour the paper describes). Sub-plan models
+  /// each cover one plan structure, as HybridModel::Train builds them.
   OnlinePredictor(std::vector<const QueryRecord*> training,
-                  const OperatorModelSet* op_models,
-                  PlanModelConfig plan_config, int min_occurrences = 10);
+                  const OperatorModelSet* op_models, int min_occurrences = 10);
 
   /// Prediction for a (possibly unforeseen) query, building sub-plan models
   /// online as needed.

@@ -5,6 +5,8 @@
 
 #include "common/bundle.h"
 #include "common/thread_pool.h"
+#include "ml/feature_selection.h"
+#include "ml/linreg.h"
 
 namespace qpp {
 namespace {
@@ -58,8 +60,7 @@ std::vector<double> ModelInputs(const std::vector<double>& f) {
 }
 
 Status OperatorModelSet::FitAllTypes(
-    const std::vector<const QueryRecord*>& queries,
-    bool use_predicted_child_times) {
+    const std::vector<const QueryRecord*>& queries) {
   std::array<FeatureMatrix, kNumPlanOps> xs;
   std::array<std::vector<double>, kNumPlanOps> start_ys, run_ys;
   for (const QueryRecord* q : queries) {
@@ -69,7 +70,7 @@ Status OperatorModelSet::FitAllTypes(
       const size_t type = static_cast<size_t>(op.op);
       const std::vector<double> f =
           BuildFeatures(*q, static_cast<int>(i), config_.train_mode,
-                        use_predicted_child_times, nullptr);
+                        /*predicted_child_times=*/false, nullptr);
       xs[type].push_back(ModelInputs(f));
       // Targets are the operator's own contribution beyond its children
       // (non-negative under inclusive subtree timing).
@@ -83,20 +84,18 @@ Status OperatorModelSet::FitAllTypes(
   // shared training arrays), so the per-type fits fan out across the
   // training pool. Feature selection inside each fit degrades to its serial
   // path when it lands on a pool worker, keeping the parallel axis here.
+  // Types with fewer than kMinSamples samples keep the additive default.
+  constexpr int kMinSamples = 8;
   return ThreadPool::Global()->ParallelFor(kNumPlanOps, [&](size_t t) {
     TypeModels& tm = models_[t];
     tm = TypeModels{};
-    if (static_cast<int>(xs[t].size()) < config_.min_samples) {
-      return Status::OK();
-    }
+    if (static_cast<int>(xs[t].size()) < kMinSamples) return Status::OK();
     const FeatureMatrix& x = xs[t];
-    std::unique_ptr<RegressionModel> prototype = MakeModel(config_.model_type);
+    const LinearRegression prototype;
     for (int which = 0; which < 2; ++which) {
       const std::vector<double>& y = which == 0 ? start_ys[t] : run_ys[t];
-      QPP_ASSIGN_OR_RETURN(
-          FeatureSelectionResult fs,
-          ForwardFeatureSelection(*prototype, x, y,
-                                  config_.feature_selection));
+      QPP_ASSIGN_OR_RETURN(FeatureSelectionResult fs,
+                           ForwardFeatureSelection(prototype, x, y));
       // The child-residual features (indices 5, 6 of ModelInputs) carry the
       // blocking/pipelining signal; they stay in the model regardless of
       // their correlation rank.
@@ -105,7 +104,7 @@ Status OperatorModelSet::FitAllTypes(
         for (int sel : fs.selected) present = present || sel == forced;
         if (!present) fs.selected.push_back(forced);
       }
-      auto model = MakeModel(config_.model_type);
+      auto model = std::make_unique<LinearRegression>();
       QPP_RETURN_NOT_OK(model->Fit(SelectColumns(x, fs.selected), y));
       double max_target = 0.0;
       for (double target : y) max_target = std::max(max_target, target);
@@ -128,14 +127,9 @@ Status OperatorModelSet::Train(const std::vector<const QueryRecord*>& queries) {
   // Child-time features come from the observed log during training (the
   // paper's logged values); static features follow config_.train_mode. At
   // prediction time composition substitutes the models' own child
-  // predictions. An optional second self-training pass re-fits on predicted
-  // child times; it is off by default because the feedback loop can diverge
-  // on large workloads.
-  QPP_RETURN_NOT_OK(FitAllTypes(queries, /*use_predicted_child_times=*/false));
+  // predictions.
+  QPP_RETURN_NOT_OK(FitAllTypes(queries));
   trained_ = true;
-  if (config_.self_train_pass) {
-    QPP_RETURN_NOT_OK(FitAllTypes(queries, /*use_predicted_child_times=*/true));
-  }
   return Status::OK();
 }
 

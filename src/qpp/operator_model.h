@@ -5,7 +5,6 @@
 #include <memory>
 #include <vector>
 
-#include "ml/feature_selection.h"
 #include "ml/model.h"
 #include "qpp/features.h"
 
@@ -26,22 +25,18 @@ using PredictionOverride = std::function<bool(int op_index, TimePrediction* out)
 
 /// Configuration for operator-level modeling.
 struct OperatorModelConfig {
-  /// The paper uses linear regression for operator models.
-  ModelType model_type = ModelType::kLinearRegression;
   /// Which static feature values to train on.
   FeatureMode train_mode = FeatureMode::kEstimate;
-  /// Optional self-training second pass: re-fit with the models' own child
-  /// time predictions as features. Off by default (can diverge).
-  bool self_train_pass = false;
-  FeatureSelectionConfig feature_selection;
-  /// Operator types with fewer samples than this fall back to the additive
-  /// default predictor.
-  int min_samples = 8;
 };
 
 /// \brief Fine-grained QPP (Section 3.2): one start-time and one run-time
 /// model per operator type, composed bottom-up along the plan structure —
 /// child predictions become the st1/rt1/st2/rt2 features of the parent.
+///
+/// Each model is a linear regression, as in the paper, over the features
+/// forward selection keeps; a type with fewer than kMinSamples training
+/// operators (operator_model.cc) falls back to an additive per-tuple
+/// default.
 class OperatorModelSet {
  public:
   OperatorModelSet() = default;
@@ -83,8 +78,7 @@ class OperatorModelSet {
     double max_run_target = 0.0;
   };
 
-  Status FitAllTypes(const std::vector<const QueryRecord*>& queries,
-                     bool use_predicted_child_times);
+  Status FitAllTypes(const std::vector<const QueryRecord*>& queries);
 
   std::vector<double> BuildFeatures(const QueryRecord& query, int op_index,
                                     FeatureMode mode,

@@ -3,7 +3,8 @@
 #include <sstream>
 
 #include "common/bundle.h"
-#include "ml/validation.h"
+#include "ml/feature_selection.h"
+#include "ml/svr.h"
 
 namespace qpp {
 
@@ -36,19 +37,20 @@ Status PlanLevelModel::Train(const std::vector<PlanOccurrence>& occurrences) {
                                 : occ.query->latency_ms);
   }
 
-  std::unique_ptr<RegressionModel> prototype = MakeModel(config_.model_type);
-  QPP_ASSIGN_OR_RETURN(
-      FeatureSelectionResult fs,
-      ForwardFeatureSelection(*prototype, x, y, config_.feature_selection));
+  const SvRegression prototype;
+  QPP_ASSIGN_OR_RETURN(FeatureSelectionResult fs,
+                       ForwardFeatureSelection(prototype, x, y));
   selected_ = fs.selected;
 
+  // Self-reported accuracy: kCvFolds-fold CV of the selected features.
+  constexpr int kCvFolds = 5;
   const FeatureMatrix projected = SelectColumns(x, selected_);
-  Rng rng(config_.feature_selection.seed ^ 0xBEEF);
-  auto cv = CrossValidate(*prototype, projected, y,
-                          KFold(x.size(), config_.cv_folds, &rng));
+  Rng rng(kFeatureSelectionSeed ^ 0xBEEF);
+  auto cv = CrossValidate(prototype, projected, y,
+                          KFold(x.size(), kCvFolds, &rng));
   cv_error_ = cv.ok() ? cv->mean_relative_error : fs.cv_error;
 
-  model_ = MakeModel(config_.model_type);
+  model_ = std::make_unique<SvRegression>();
   return model_->Fit(projected, y);
 }
 

@@ -4,7 +4,6 @@
 #include <string>
 #include <vector>
 
-#include "ml/feature_selection.h"
 #include "ml/model.h"
 #include "qpp/features.h"
 
@@ -19,12 +18,7 @@ struct PlanOccurrence {
 
 /// Configuration shared by plan-level models.
 struct PlanModelConfig {
-  /// The paper uses SVM regression for plan-level models.
-  ModelType model_type = ModelType::kSvr;
   FeatureMode feature_mode = FeatureMode::kEstimate;
-  FeatureSelectionConfig feature_selection;
-  /// Folds for the self-reported CV accuracy estimate.
-  int cv_folds = 5;
   /// When true (hybrid/online sub-plan models) all training occurrences
   /// must share one plan structure; the paper's global plan-level model
   /// (Section 3.1) trains across heterogeneous plans instead.
@@ -36,7 +30,8 @@ struct PlanModelConfig {
 ///
 /// An instance is bound to one structural key; training uses every
 /// occurrence of that structure in the training data, with the observed
-/// sub-plan run-time as target.
+/// sub-plan run-time as target. The model is an SVM regression, as in the
+/// paper.
 class PlanLevelModel {
  public:
   PlanLevelModel() = default;
@@ -44,7 +39,7 @@ class PlanLevelModel {
 
   /// Trains on the given occurrences (all must share a structural key).
   /// Runs forward feature selection, fits the model, and records a
-  /// cross-validated accuracy estimate.
+  /// cross-validated accuracy estimate over kCvFolds folds (plan_model.cc).
   Status Train(const std::vector<PlanOccurrence>& occurrences);
 
   /// Predicted run-time (ms) of the sub-plan rooted at op_index.

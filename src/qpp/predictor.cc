@@ -72,8 +72,7 @@ Status QueryPerformancePredictor::Train(const QueryLog& log) {
       break;
     }
     case PredictionMethod::kPlanLevel: {
-      PlanModelConfig cfg = config_.hybrid.plan_config;
-      cfg.require_same_key = false;
+      PlanModelConfig cfg;
       cfg.feature_mode = config_.feature_mode;
       global_plan_model_ = PlanLevelModel(cfg);
       std::vector<PlanOccurrence> occurrences;
@@ -102,7 +101,7 @@ Status QueryPerformancePredictor::Train(const QueryLog& log) {
       QPP_RETURN_NOT_OK(hybrid_.Train(training_refs_));
       online_ = std::make_unique<OnlinePredictor>(
           training_refs_, &hybrid_.operator_models(),
-          config_.hybrid.plan_config, config_.hybrid.min_occurrences);
+          config_.hybrid.min_occurrences);
       break;
     }
   }
@@ -261,7 +260,7 @@ Status QueryPerformancePredictor::LoadModelsFromText(
       }
       online_ = std::make_unique<OnlinePredictor>(
           training_refs_, &hybrid_.operator_models(),
-          config_.hybrid.plan_config, config_.hybrid.min_occurrences);
+          config_.hybrid.min_occurrences);
       break;
     }
   }

@@ -27,7 +27,7 @@ bool BufferPool::AccessSequential(int table_id, int64_t page_index) {
 
 bool BufferPool::AccessRandom(int table_id, int64_t page_index) {
   return Access(table_id, page_index,
-                config_.io_work_passes * config_.random_multiplier);
+                config_.io_work_passes * kRandomMultiplier);
 }
 
 bool BufferPool::Access(int table_id, int64_t page_index, int work_passes) {

@@ -33,13 +33,14 @@ class BufferPool {
   struct Config {
     /// Pool capacity in pages. Default 16384 pages = 128 MB logical.
     size_t capacity_pages = 16384;
-    /// Checksum passes over the 8 KB buffer per cold sequential page read.
+    /// Checksum passes over the 8 KB buffer per cold sequential page read;
+    /// a cold random read charges kRandomMultiplier times as many.
     int io_work_passes = 3;
-    /// Multiplier on io_work_passes for random page reads.
-    int random_multiplier = 4;
   };
 
   static constexpr size_t kPageSize = 8192;
+  /// Multiplier on io_work_passes for random page reads.
+  static constexpr int kRandomMultiplier = 4;
 
   BufferPool() : BufferPool(Config{}) {}
   explicit BufferPool(Config config);

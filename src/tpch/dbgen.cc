@@ -90,16 +90,14 @@ Result<std::vector<std::unique_ptr<Table>>> Dbgen::Generate() {
   QPP_RETURN_NOT_OK(GenerateOrdersAndLineitem(
       tables[kOrders].get(), tables[kLineitem].get(), &orders_rng));
 
-  if (config_.build_indexes) {
-    QPP_RETURN_NOT_OK(tables[kRegion]->CreateIndex("r_regionkey"));
-    QPP_RETURN_NOT_OK(tables[kNation]->CreateIndex("n_nationkey"));
-    QPP_RETURN_NOT_OK(tables[kSupplier]->CreateIndex("s_suppkey"));
-    QPP_RETURN_NOT_OK(tables[kPart]->CreateIndex("p_partkey"));
-    QPP_RETURN_NOT_OK(tables[kPartsupp]->CreateIndex("ps_partkey"));
-    QPP_RETURN_NOT_OK(tables[kCustomer]->CreateIndex("c_custkey"));
-    QPP_RETURN_NOT_OK(tables[kOrders]->CreateIndex("o_orderkey"));
-    QPP_RETURN_NOT_OK(tables[kLineitem]->CreateIndex("l_orderkey"));
-  }
+  QPP_RETURN_NOT_OK(tables[kRegion]->CreateIndex("r_regionkey"));
+  QPP_RETURN_NOT_OK(tables[kNation]->CreateIndex("n_nationkey"));
+  QPP_RETURN_NOT_OK(tables[kSupplier]->CreateIndex("s_suppkey"));
+  QPP_RETURN_NOT_OK(tables[kPart]->CreateIndex("p_partkey"));
+  QPP_RETURN_NOT_OK(tables[kPartsupp]->CreateIndex("ps_partkey"));
+  QPP_RETURN_NOT_OK(tables[kCustomer]->CreateIndex("c_custkey"));
+  QPP_RETURN_NOT_OK(tables[kOrders]->CreateIndex("o_orderkey"));
+  QPP_RETURN_NOT_OK(tables[kLineitem]->CreateIndex("l_orderkey"));
   return tables;
 }
 

@@ -16,9 +16,6 @@ struct DbgenConfig {
   double scale_factor = 0.01;
   /// Master seed — the generator is fully deterministic given (sf, seed).
   uint64_t seed = 20120401;
-  /// Whether to create the primary-key-style hash indexes the paper's setup
-  /// declares (one per table's leading key column).
-  bool build_indexes = true;
 };
 
 /// \brief From-scratch TPC-H data generator (the dbgen substitute).
@@ -40,7 +37,9 @@ class Dbgen {
  public:
   explicit Dbgen(DbgenConfig config) : config_(config) {}
 
-  /// Generates all eight tables, ordered by TableId.
+  /// Generates all eight tables, ordered by TableId, each with the
+  /// primary-key-style hash index the paper's setup declares on its leading
+  /// key column.
   Result<std::vector<std::unique_ptr<Table>>> Generate();
 
   const DbgenConfig& config() const { return config_; }

@@ -1,12 +1,14 @@
-// Determinism and safety contract of the training-side parallelism
-// (ISSUE 1): the thread pool itself, and bit-identical results from
-// CrossValidate / ForwardFeatureSelection at 1 vs 4 threads. These tests
-// are the ones scripts/tier1.sh re-runs under ThreadSanitizer.
+// Determinism and safety contract of the training-side parallelism: the
+// thread pool itself, bit-identical results from CrossValidate /
+// ForwardFeatureSelection at 1 vs 4 threads, and one OnlinePredictor
+// shared by several predicting threads. These tests are the ones
+// scripts/tier1.sh re-runs under ThreadSanitizer.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "common/rng.h"
@@ -15,6 +17,8 @@
 #include "ml/linreg.h"
 #include "ml/svr.h"
 #include "ml/validation.h"
+#include "qpp/online.h"
+#include "workload/synthetic.h"
 
 namespace qpp {
 namespace {
@@ -128,20 +132,22 @@ TEST(DeterminismTest, CrossValidateBitIdenticalAcrossThreadCounts) {
   Rng rng(33);
   const auto folds = KFold(x.size(), 5, &rng);
 
-  for (ModelType type : {ModelType::kLinearRegression, ModelType::kSvr}) {
-    auto proto = MakeModel(type);
+  const LinearRegression linreg;
+  const SvRegression svr;
+  const RegressionModel* const prototypes[] = {&linreg, &svr};
+  for (const RegressionModel* proto : prototypes) {
+    const char* name = ModelTypeName(proto->type());
     ThreadPool serial(1), parallel(4);
     auto cv1 = CrossValidate(*proto, x, y, folds, &serial);
     auto cv4 = CrossValidate(*proto, x, y, folds, &parallel);
     ASSERT_TRUE(cv1.ok() && cv4.ok());
     // Bit-identical, not just close: fold fits are self-contained and the
     // merge order is fixed, so == must hold exactly.
-    EXPECT_EQ(cv1->mean_relative_error, cv4->mean_relative_error)
-        << ModelTypeName(type);
+    EXPECT_EQ(cv1->mean_relative_error, cv4->mean_relative_error) << name;
     ASSERT_EQ(cv1->predictions.size(), cv4->predictions.size());
     for (size_t i = 0; i < cv1->predictions.size(); ++i) {
       EXPECT_EQ(cv1->predictions[i], cv4->predictions[i])
-          << ModelTypeName(type) << " sample " << i;
+          << name << " sample " << i;
     }
   }
 }
@@ -208,6 +214,52 @@ TEST(DeterminismTest, SvrKernelCacheDoesNotChangeTheModel) {
   for (size_t i = 0; i < x.size(); i += 11) {
     EXPECT_EQ(a.Predict(x[i]), b.Predict(x[i]));
   }
+}
+
+// ----------------------------- OnlinePredictor ------------------------------
+
+TEST(DeterminismTest, SharedOnlinePredictorMatchesSerialAndBuildsEachKeyOnce) {
+  // OnlinePredictor trains an unseen sub-plan outside its lock while other
+  // threads wanting the same key wait for it. Threads that start at
+  // different points of the query list reach the same keys in different
+  // orders; each must still see the serial predictions bit for bit, and
+  // every key must be built once.
+  const QueryLog training = SyntheticServingLog(120);
+  const QueryLog queries = SyntheticServingLog(30, 1.0, 777);
+  std::vector<const QueryRecord*> refs;
+  for (const QueryRecord& q : training.queries) refs.push_back(&q);
+  OperatorModelSet op_models;
+  ASSERT_TRUE(op_models.Train(refs).ok());
+
+  const size_t n = queries.queries.size();
+  const OnlinePredictor serial(refs, &op_models);
+  std::vector<double> expected(n);
+  for (size_t i = 0; i < n; ++i) {
+    expected[i] =
+        serial.PredictQuery(queries.queries[i], FeatureMode::kEstimate);
+  }
+  ASSERT_GT(serial.models_built(), 0);
+
+  constexpr size_t kThreads = 4;
+  const OnlinePredictor shared(refs, &op_models);
+  std::vector<std::vector<double>> got(kThreads, std::vector<double>(n));
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (size_t k = 0; k < n; ++k) {
+        const size_t i = (k + t * n / kThreads) % n;
+        got[t][i] =
+            shared.PredictQuery(queries.queries[i], FeatureMode::kEstimate);
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (size_t t = 0; t < kThreads; ++t) {
+    for (size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(got[t][i], expected[i]) << "thread " << t << " query " << i;
+    }
+  }
+  EXPECT_EQ(shared.models_built(), serial.models_built());
 }
 
 }  // namespace

@@ -174,17 +174,17 @@ TEST_F(KdeTest, UpdateBandwidthsMovesEstimateTowardActual) {
   const double actual_rows = 80.0;  // ~2% of rows, far below the smoothed est
   auto before = KdeSelectivity(s, h, bounds);
   ASSERT_TRUE(before.has_value());
-  KdeBandwidthConfig bw;
   for (int i = 0; i < 50; ++i) {
-    ASSERT_TRUE(UpdateBandwidths(s, bounds, actual_rows, bw, &h));
+    ASSERT_TRUE(UpdateBandwidths(s, bounds, actual_rows, &h));
   }
   auto after = KdeSelectivity(s, h, bounds);
   ASSERT_TRUE(after.has_value());
   const double target = actual_rows / bounds.table_rows;
-  EXPECT_LT(std::abs(std::log(*after + bw.epsilon) -
-                     std::log(target + bw.epsilon)),
-            std::abs(std::log(*before + bw.epsilon) -
-                     std::log(target + bw.epsilon)))
+  constexpr double kLogFloor = 1e-6;  // keeps a zero selectivity finite
+  EXPECT_LT(std::abs(std::log(*after + kLogFloor) -
+                     std::log(target + kLogFloor)),
+            std::abs(std::log(*before + kLogFloor) -
+                     std::log(target + kLogFloor)))
       << "feedback must move the estimate toward the observed selectivity";
 }
 

