@@ -5,6 +5,10 @@
 // quantiles (p50/p95/p99 us) as user counters, which bench_json forwards
 // into BENCH_net_serving.json for cross-PR telemetry.
 //
+// The server predicts every batch on its reactor thread, so each scenario
+// is bounded by one core's decode + predict + encode rate: prediction no
+// longer overlaps decoding on other cores, which caps the v2 container
+// scenarios (BM_NetServingBatchedClient) below what a pool hop reached.
 // On a single-core container the absolute numbers mostly measure scheduler
 // churn; the interesting signal is the batching-on/off delta (dispatch
 // amortization) and that the 4-connection configs don't collapse.

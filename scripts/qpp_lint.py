@@ -50,7 +50,11 @@ knowledge rather than language knowledge:
                       forbidden, bare accept() is forbidden (accept4
                       with SOCK_NONBLOCK), and socket()/accept4()/
                       eventfd() must create non-blocking fds -- one
-                      blocking fd stalls every connection.
+                      blocking fd stalls every connection.  The
+                      ThreadPool (Submit, ParallelFor, Global) is
+                      forbidden too: the reactor predicts each batch
+                      itself, because a hop to a pool worker and back
+                      costs more than the prediction it carries.
   net-unbounded-iovec In src/net/ every scatter-gather syscall
                       (writev/pwritev/sendmsg) must be dominated by a
                       visible bound on its iovec count -- a comparison
@@ -380,6 +384,8 @@ BARE_ACCEPT_RE = re.compile(r"(?<![\w.])accept\s*\(")
 NONBLOCK_FD_RE = re.compile(r"(?<![\w.])(socket|accept4|eventfd)\s*\(")
 NONBLOCK_FLAG = {"socket": "SOCK_NONBLOCK", "accept4": "SOCK_NONBLOCK",
                  "eventfd": "EFD_NONBLOCK"}
+POOL_RE = re.compile(
+    r"\bThreadPool\b|(?:\.|->)\s*(?:Submit|ParallelFor)\s*\(")
 
 
 def _call_args(code, open_paren_pos):
@@ -426,6 +432,12 @@ def rule_net_blocking_reactor(path, raw, code):
                 f"{fn}() without {NONBLOCK_FLAG[fn]} on the reactor "
                 "thread; a blocking fd in the epoll loop stalls every "
                 "connection"))
+    for m in POOL_RE.finditer(code):
+        out.append(Violation(
+            path, _line_of(code, m.start()), "net-blocking-reactor",
+            "thread-pool use in the reactor; it predicts each batch "
+            "itself -- a hop to a pool worker and back costs more than "
+            "the prediction and puts the reactor behind pool tasks"))
     return out
 
 

@@ -69,10 +69,10 @@ fi
 # the parallel training paths, the serving suite (registry hot-swap under
 # concurrent Predict load, feedback-loop retrains), the obs suite (the
 # lock-free metrics registry under multi-threaded update load), and the net
-# suite (reactor thread vs pool batch workers vs client threads: completion
-# queue handoff, eventfd wakeups, graceful drain), the card suite (the
-# cardinality feedback loop: concurrent harvesting vs snapshot readers), and
-# the kde suite (bandwidth updates and snapshot publishes racing lock-free
+# suite (the reactor, which predicts each batch itself, vs client threads,
+# Stats() readers and Shutdown callers: eventfd wakeup, graceful drain),
+# the card suite (the cardinality feedback loop: concurrent harvesting vs
+# snapshot readers), and the kde suite (bandwidth updates and snapshot publishes racing lock-free
 # estimate readers). QPP_THREADS>1 forces real concurrency even on small CI
 # machines.
 if [[ $RUN_TSAN -eq 1 ]]; then

@@ -11,10 +11,10 @@ std::string ChecksumHex(uint64_t checksum) {
   return std::string(buf);
 }
 
-Result<uint64_t> ParseChecksumHex(const std::string& hex) {
+Result<uint64_t> ParseChecksumHex(std::string_view hex) {
   if (hex.size() != 16) {
     return Status::InvalidArgument("checksum must be 16 hex chars, got '" +
-                                   hex + "'");
+                                   std::string(hex) + "'");
   }
   uint64_t value = 0;
   for (char c : hex) {
@@ -24,7 +24,8 @@ Result<uint64_t> ParseChecksumHex(const std::string& hex) {
     } else if (c >= 'a' && c <= 'f') {
       digit = c - 'a' + 10;
     } else {
-      return Status::InvalidArgument("bad checksum hex digit in '" + hex + "'");
+      return Status::InvalidArgument("bad checksum hex digit in '" +
+                                   std::string(hex) + "'");
     }
     value = (value << 4) | static_cast<uint64_t>(digit);
   }

@@ -31,6 +31,6 @@ inline uint64_t Fnv1a64(std::string_view data) {
 std::string ChecksumHex(uint64_t checksum);
 
 /// Parses ChecksumHex output back into a value.
-Result<uint64_t> ParseChecksumHex(const std::string& hex);
+Result<uint64_t> ParseChecksumHex(std::string_view hex);
 
 }  // namespace qpp

@@ -291,9 +291,9 @@ Result<LoadGenReport> RunLoadGenerator(const std::string& host, uint16_t port,
   std::vector<WorkerResult> results(static_cast<size_t>(options.connections));
   const auto t0 = Clock::now();
   {
-    // Plain threads, not the ThreadPool: workers block on socket IO, which
-    // would starve the pool the *server* needs for prediction batches when
-    // both run in one process (tests, benches).
+    // Plain threads, not the ThreadPool: workers block on socket IO for the
+    // whole run, which would hold shared pool workers away from the
+    // training and retrain tasks of the same process (tests, benches).
     std::vector<std::thread> workers;
     workers.reserve(static_cast<size_t>(options.connections));
     for (int w = 0; w < options.connections; ++w) {

@@ -14,9 +14,8 @@ uint64_t NowNs() {
 
 }  // namespace
 
-PredictionService::PredictionService(ModelRegistry* registry, ThreadPool* pool)
+PredictionService::PredictionService(ModelRegistry* registry)
     : registry_(registry),
-      pool_(pool != nullptr ? pool : ThreadPool::Global()),
       // 1 us .. ~65 ms in powers of two; predictions are sub-millisecond so
       // the low buckets carry the resolution.
       latency_hist_(obs::MetricsRegistry::Global()->GetHistogram(
@@ -58,12 +57,12 @@ PredictionService::PredictBatch(const std::vector<QueryRecord>& queries) const {
     errors_.fetch_add(queries.size(), std::memory_order_relaxed);
     return Status::NotFound("no model published yet");
   }
-  std::vector<Prediction> out(queries.size());
-  Status st = pool_->ParallelFor(queries.size(), [&](size_t i) {
-    QPP_ASSIGN_OR_RETURN(out[i], PredictOnSnapshot(*snapshot, queries[i]));
-    return Status::OK();
-  });
-  QPP_RETURN_NOT_OK(st);
+  std::vector<Prediction> out;
+  out.reserve(queries.size());
+  for (const QueryRecord& query : queries) {
+    QPP_ASSIGN_OR_RETURN(Prediction p, PredictOnSnapshot(*snapshot, query));
+    out.push_back(p);
+  }
   return out;
 }
 

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/thread_pool.h"
 #include "obs/metrics.h"
 #include "serve/registry.h"
 
@@ -30,9 +29,8 @@ struct ServiceStats {
 ///
 /// Predict() is safe to call from any number of threads: each request takes
 /// an immutable registry snapshot (never blocked by a concurrent hot-swap),
-/// predicts against it, and updates lock-free counters. PredictBatch fans a
-/// batch out over the shared ThreadPool, with every element served from one
-/// consistent snapshot.
+/// predicts against it, and updates lock-free counters. PredictBatch serves
+/// a batch serially from one consistent snapshot, on the caller's thread.
 class PredictionService {
  public:
   /// One answered prediction request.
@@ -42,19 +40,17 @@ class PredictionService {
     uint64_t model_version = 0;
   };
 
-  /// `registry` must outlive the service. `pool` is used by PredictBatch
-  /// only; null means ThreadPool::Global().
-  explicit PredictionService(ModelRegistry* registry,
-                             ThreadPool* pool = nullptr);
+  /// `registry` must outlive the service.
+  explicit PredictionService(ModelRegistry* registry);
 
   /// Predicts latency for one query against the current model snapshot.
   /// Fails (and counts an error) when no model has been published yet or
   /// the record is malformed.
   Result<Prediction> Predict(const QueryRecord& query) const;
 
-  /// Predicts a whole batch in parallel on the thread pool, all elements
-  /// against the same snapshot. Fails wholesale when no model is published;
-  /// per-element failures fail the batch with the first error.
+  /// Predicts a whole batch serially, all elements against the same
+  /// snapshot. Fails wholesale when no model is published; the first
+  /// per-element failure fails the batch.
   Result<std::vector<Prediction>> PredictBatch(
       const std::vector<QueryRecord>& queries) const;
 
@@ -75,7 +71,6 @@ class PredictionService {
                                        const QueryRecord& query) const;
 
   ModelRegistry* registry_;
-  ThreadPool* pool_;
   /// Shared process-wide latency histogram (registry-owned, never null).
   obs::Histogram* latency_hist_;
   /// This instance's own histogram (same buckets); Snapshot percentiles

@@ -387,6 +387,21 @@ class NetBlockingReactorTest(unittest.TestCase):
         good = "bool asleep(int x); int n = asleep(2);"
         self.assertEqual([], rules_fired(good, "src/net/server.cc"))
 
+    def test_thread_pool_in_reactor_fires(self):
+        for bad in ("(void)pool_->Submit([this] { return Status::OK(); });",
+                    "Status st = ThreadPool::Global()->ParallelFor(n, fn);",
+                    "ThreadPool* pool_;"):
+            self.assertIn("net-blocking-reactor",
+                          rules_fired(bad, "src/net/server.cc"), bad)
+
+    def test_thread_pool_outside_reactor_and_in_comments_ok(self):
+        ok = "(void)pool_->Submit([this] { return Status::OK(); });"
+        self.assertEqual([], rules_fired(ok, "src/net/client.cc"))
+        self.assertEqual([], rules_fired(ok, "src/serve/feedback.cc"))
+        good = ("// Not on the ThreadPool: pool_->Submit(task) would hop.\n"
+                "void SubmitReply(); int ParallelForks = 0;\n")
+        self.assertEqual([], rules_fired(good, "src/net/server.cc"))
+
 
 class SuppressionTest(unittest.TestCase):
     def test_same_line_allow(self):

@@ -4,8 +4,8 @@
 // sockets, and graceful drain with zero dropped in-flight responses.
 //
 // Every server test binds an ephemeral loopback port. The suite runs in the
-// TSan tier-1 pass, so it exercises the reactor/pool/completion-queue
-// hand-offs under a race detector.
+// TSan tier-1 pass, so it exercises the reactor against client threads,
+// Stats() readers and Shutdown callers under a race detector.
 
 #include <gtest/gtest.h>
 
@@ -20,6 +20,7 @@
 #include <atomic>
 #include <cerrno>
 #include <chrono>
+#include <cstdio>
 #include <cstring>
 #include <map>
 #include <memory>
@@ -32,6 +33,7 @@
 #include "net/frame.h"
 #include "net/server.h"
 #include "obs/metrics.h"
+#include "serve/model_store.h"
 #include "serve/registry.h"
 #include "serve/service.h"
 #include "workload/synthetic.h"
@@ -514,6 +516,70 @@ TEST_F(NetServerTest, SyncRoundTripMatchesLocalPrediction) {
   EXPECT_EQ(stats.dropped_disconnect, 0u);
 }
 
+/// `q` under a new Sort root: a plan that no synthetic training query has,
+/// over a subtree that the training log does contain.
+QueryRecord UnderNewSortRoot(QueryRecord q) {
+  OperatorRecord root = q.ops.front();
+  root.node_id = 100;
+  root.parent_id = -1;
+  root.left_child = q.ops.front().node_id;
+  root.right_child = -1;
+  root.op = PlanOp::kSort;
+  root.relation.clear();
+  root.est.startup_cost = root.est.total_cost;
+  root.est.total_cost *= 1.2;
+  root.actual.run_time_ms *= 1.1;
+  q.ops.front().parent_id = root.node_id;
+  q.ops.insert(q.ops.begin(), root);
+  q.latency_ms = root.actual.run_time_ms;
+  RecomputeStructuralKeys(&q);
+  return q;
+}
+
+TEST_F(NetServerTest, OnlineBundleServesUnseenPlansBitIdentically) {
+  // A kOnline predictor builds a sub-plan model the first time it sees a
+  // structure; served over the wire, that build runs on the reactor.
+  PredictorConfig cfg = QuickConfig();
+  cfg.method = PredictionMethod::kOnline;
+  QueryPerformancePredictor trained(cfg);
+  ASSERT_TRUE(trained.Train(SyntheticServingLog(60)).ok());
+  const std::string path = ::testing::TempDir() + "/net_online.qppb";
+  ASSERT_TRUE(serve::SaveModelBundle(trained, path).ok());
+  auto served = serve::LoadModelBundle(path, cfg);
+  auto local = serve::LoadModelBundle(path, cfg);
+  std::remove(path.c_str());
+  ASSERT_TRUE(served.ok()) << served.status().ToString();
+  ASSERT_TRUE(local.ok()) << local.status().ToString();
+  registry_.Publish(
+      std::make_shared<const QueryPerformancePredictor>(std::move(*served)),
+      "online bundle");
+  StartServer(ServerConfig{}, /*publish_model=*/false);
+
+  PredictionClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server_->port()).ok());
+  // Both copies see the probes in the same order, so they build the same
+  // models at the same requests.
+  double longest_us = 0.0;
+  for (const QueryRecord& base : workload_.queries) {
+    const QueryRecord q = UnderNewSortRoot(base);
+    const auto t0 = std::chrono::steady_clock::now();
+    auto reply = client.Predict(q);
+    longest_us = std::max(
+        longest_us, std::chrono::duration<double, std::micro>(
+                        std::chrono::steady_clock::now() - t0)
+                        .count());
+    ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+    ASSERT_EQ(reply->error, ErrorCode::kNone) << reply->error_message;
+    auto want = local->PredictLatencyMs(q);
+    ASSERT_TRUE(want.ok());
+    EXPECT_EQ(reply->predicted_ms, *want);
+  }
+  // The longest reply is the worst stall a first-sight build puts on the
+  // reactor (DESIGN.md, "Network serving").
+  std::printf("[ stall    ] longest kOnline reply %.0f us over %zu probes\n",
+              longest_us, workload_.queries.size());
+}
+
 TEST_F(NetServerTest, TwoServersKeepIndependentLatencyPercentiles) {
   StartServer(ServerConfig{});
   // A second server in the same process, over the same service, that
@@ -728,6 +794,72 @@ TEST_F(NetServerTest, SlowReaderStopsBeingReadUntilOutboxDrains) {
   const net::ServerStats stats = server_->Stats();
   EXPECT_EQ(stats.responses_sent + stats.errors_sent, expected);
   EXPECT_EQ(stats.dropped_disconnect, 0u);
+}
+
+TEST_F(NetServerTest, FullSocketIsAnsweredNotShed) {
+  StartServer(ServerConfig{});
+  RawConn conn;
+  ASSERT_TRUE(conn.Connect(server_->port()));
+  const int fd = conn.fd();
+
+  // A sender that keeps its socket full: every frame goes out in one
+  // blocking write, so the server always finds more bytes to read. The
+  // server predicts each batch as it fills, so admission never reaches
+  // the per-connection cap (128) and nothing may be shed.
+  constexpr uint64_t kFrames = 8192;
+  std::vector<std::string> payloads;
+  for (const QueryRecord& q : workload_.queries) {
+    payloads.push_back(net::EncodeRequestPayload(0, q));
+  }
+  std::string stream;
+  for (uint64_t id = 1; id <= kFrames; ++id) {
+    const std::string& payload = payloads[id % payloads.size()];
+    stream += net::EncodeFrameHeader(net::kProtocolVersion,
+                                     FrameType::kRequest, id,
+                                     static_cast<uint32_t>(payload.size()));
+    stream += payload;
+  }
+
+  // The reader drains replies meanwhile; it gives up (and unblocks the
+  // sender) after 10 s without a byte.
+  std::vector<int> responses(kFrames + 1, 0);
+  uint64_t received = 0, errors = 0, bad_ids = 0;
+  std::thread reader([&] {
+    FrameDecoder decoder;
+    std::vector<char> buf(64 * 1024);
+    while (received < kFrames) {
+      pollfd ready{fd, POLLIN, 0};
+      if (::poll(&ready, 1, 10000) != 1) break;
+      const ssize_t n = ::recv(fd, buf.data(), buf.size(), 0);
+      if (n <= 0 || !decoder.Feed(buf.data(), static_cast<size_t>(n)).ok()) {
+        break;
+      }
+      while (auto reply = decoder.Next()) {
+        ++received;
+        if (reply->request_id < 1 || reply->request_id > kFrames) {
+          ++bad_ids;
+        } else if (reply->type != FrameType::kResponse) {
+          ++errors;
+        } else {
+          ++responses[reply->request_id];
+        }
+      }
+    }
+    if (received < kFrames) ::shutdown(fd, SHUT_RDWR);
+  });
+  const bool wrote = conn.WriteAll(stream);
+  reader.join();
+  ASSERT_TRUE(wrote);
+  ASSERT_EQ(received, kFrames);
+  EXPECT_EQ(errors, 0u);
+  EXPECT_EQ(bad_ids, 0u);
+  for (uint64_t id = 1; id <= kFrames; ++id) {
+    ASSERT_EQ(responses[id], 1) << "request " << id;
+  }
+  const net::ServerStats stats = server_->Stats();
+  EXPECT_EQ(stats.shed_overload, 0u);
+  EXPECT_EQ(stats.requests_received, kFrames);
+  EXPECT_EQ(stats.responses_sent, kFrames);
 }
 
 TEST_F(NetServerTest, ExpiredDeadlinesGetTypedErrorsNotPredictions) {

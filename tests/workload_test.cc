@@ -1,11 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <set>
+#include <sstream>
 #include <string_view>
 
 #include "catalog/database.h"
@@ -440,6 +444,126 @@ TEST_F(WorkloadTest, BinaryRecordRejectsAdversarialBytes) {
   std::string empty_ops(good.substr(0, first_op - 4));
   empty_ops += std::string(4, '\0');
   EXPECT_FALSE(ParseQueryRecordBinary(empty_ops, "<test>").ok());
+}
+
+/// The committed label logs: the fig benches' cache and e2ebench's corpus,
+/// found from this file's path (tests/ sits at the repository root).
+std::vector<std::string> CommittedLogs() {
+  const std::string testdata = TestDataDir();
+  const std::string root =
+      testdata.substr(0, testdata.rfind("/tests/testdata"));
+  std::vector<std::string> paths;
+  for (const char* dir : {"/qpp_cache", "/e2ebench/corpus"}) {
+    for (const auto& entry : std::filesystem::directory_iterator(root + dir)) {
+      if (entry.path().extension() == ".log") {
+        paths.push_back(entry.path().string());
+      }
+    }
+  }
+  std::sort(paths.begin(), paths.end());
+  return paths;
+}
+
+/// Everything after the first line (the version header).
+std::string_view AfterHeader(std::string_view text) {
+  return text.substr(text.find('\n') + 1);
+}
+
+TEST(QueryLogTest, CommittedLogsReserializeByteIdentically) {
+  const std::vector<std::string> paths = CommittedLogs();
+  ASSERT_EQ(paths.size(), 6u);
+  for (const std::string& path : paths) {
+    std::ifstream in(path, std::ios::binary);
+    const std::string bytes((std::istreambuf_iterator<char>(in)),
+                            std::istreambuf_iterator<char>());
+    auto log = QueryLog::LoadFromFile(path);
+    ASSERT_TRUE(log.ok()) << log.status().ToString();
+    ASSERT_FALSE(log->queries.empty()) << path;
+    std::ostringstream out;
+    log->WriteTo(out);
+    // The logs carry an older version header; every record line must come
+    // back byte for byte. (EXPECT_TRUE: a diff of megabytes helps nobody.)
+    EXPECT_EQ(bytes.rfind("# qpp query log v", 0), 0u) << path;
+    EXPECT_TRUE(AfterHeader(out.str()) == AfterHeader(bytes)) << path;
+  }
+}
+
+TEST(QueryLogTest, TextRecordsMatchTheBinaryCodec) {
+  size_t records = 0;
+  for (const std::string& path : CommittedLogs()) {
+    auto log = QueryLog::LoadFromFile(path);
+    ASSERT_TRUE(log.ok()) << log.status().ToString();
+    for (const QueryRecord& q : log->queries) {
+      auto text = ParseQueryRecord(SerializeQueryRecord(q), "<text>");
+      auto binary =
+          ParseQueryRecordBinary(SerializeQueryRecordBinary(q), "<binary>");
+      ASSERT_TRUE(text.ok()) << text.status().ToString();
+      ASSERT_TRUE(binary.ok()) << binary.status().ToString();
+      // The binary codec writes every field it carries as its bit pattern,
+      // so equal encodings mean bit-identical records.
+      ASSERT_EQ(SerializeQueryRecordBinary(*text),
+                SerializeQueryRecordBinary(*binary))
+          << path << " record " << records;
+      ASSERT_EQ(text->ops.size(), binary->ops.size());
+      for (size_t i = 0; i < text->ops.size(); ++i) {
+        EXPECT_EQ(text->ops[i].structural_key, binary->ops[i].structural_key);
+        EXPECT_EQ(text->ops[i].subtree_size, binary->ops[i].subtree_size);
+      }
+      ++records;
+    }
+  }
+  EXPECT_GT(records, 1000u);
+}
+
+TEST(QueryLogTest, LineEndingsBlankAndCommentLinesParseAsBefore) {
+  const std::string q = "Q|6|12.5|p";
+  const std::string o = "O|0|-1|-1|-1|0|0|t|1|2|3|4|5|0.5|1|0.1|12.5|10|5";
+  // A file is read through a stream, a wire payload in place; both must
+  // split lines and report errors alike.
+  const auto load = [](const std::string& text) {
+    std::istringstream in(text);
+    return QueryLog::LoadFromStream(in, "<log>");
+  };
+  const auto wire = [](const std::string& text) {
+    return ParseQueryRecord(text, "<wire>");
+  };
+
+  // The last line needs no newline.
+  auto last = load(q + "\n" + o);
+  ASSERT_TRUE(last.ok()) << last.status().ToString();
+  ASSERT_EQ(last->queries.size(), 1u);
+  EXPECT_EQ(last->queries[0].ops.size(), 1u);
+  EXPECT_TRUE(wire(q + "\n" + o).ok());
+
+  // Blank and '#' lines are skipped, but they count for line numbers.
+  const std::string padded = "\n# c\n" + q + "\n\n#x|y\n" + o + "\n\n";
+  EXPECT_TRUE(load(padded).ok());
+  EXPECT_TRUE(wire(padded).ok());
+  EXPECT_EQ(load("\n# c\n\nQ|6|x|p\n").status().message(),
+            "<log>:4: bad latency 'x'");
+  EXPECT_EQ(wire("\n# c\n\nQ|6|x|p\n").status().message(),
+            "<wire>:4: bad latency 'x'");
+  EXPECT_EQ(load("#\n" + q + "\n").status().message(),
+            "<log>:2: query 0 has no operators");
+  EXPECT_EQ(wire("\n\n").status().message(),
+            "<wire>: expected exactly one query record, got 0");
+
+  // CRLF endings are not stripped: the '\r' stays in the last field. A Q
+  // line keeps it in param_desc, and an O line's last number fails.
+  auto crlf_q = load(q + "\r\n" + o + "\n");
+  ASSERT_TRUE(crlf_q.ok()) << crlf_q.status().ToString();
+  EXPECT_EQ(crlf_q->queries[0].param_desc, "p\r");
+  EXPECT_EQ(load("# qpp query log v2\r\n" + q + "\r\n" + o + "\r\n")
+                .status()
+                .message(),
+            "<log>:3: unparseable number in O line");
+  EXPECT_EQ(wire(q + "\r\n" + o + "\r\n").status().message(),
+            "<wire>:2: unparseable number in O line");
+  // A line holding only '\r' is not blank.
+  EXPECT_EQ(load(q + "\n\r\n" + o).status().message(),
+            "<log>:2: unknown record tag '\r'");
+  EXPECT_EQ(wire(q + "\n\r\n" + o).status().message(),
+            "<wire>:2: unknown record tag '\r'");
 }
 
 TEST_F(WorkloadTest, AppendRecordToFileBuildsLoadableLog) {
