@@ -10,8 +10,6 @@
 #include "bench/bench_json.h"
 #include "bench/check.h"
 #include "common/rng.h"
-#include "common/thread_pool.h"
-#include "ml/feature_selection.h"
 #include "ml/linreg.h"
 #include "ml/svr.h"
 #include "ml/validation.h"
@@ -114,43 +112,6 @@ void BM_CrossValidateTimedFolds(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CrossValidateTimedFolds);
-
-void BM_ForwardFeatureSelection(benchmark::State& state) {
-  FeatureMatrix x;
-  std::vector<double> y;
-  MakeData(200, 9, &x, &y);
-  LinearRegression proto;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(ForwardFeatureSelection(proto, x, y, {}));
-  }
-}
-BENCHMARK(BM_ForwardFeatureSelection);
-
-// Training-throughput bench for the parallel feature-selection path: an SVR
-// prototype (per-candidate CV cost dominates) on an explicit pool of
-// state.range(0) threads. The /1 run is the serial reference; /4 over /1 is
-// the speedup headline — and the results are bit-identical across the two
-// (see concurrency_test.cc).
-void BM_ForwardFeatureSelectionThreads(benchmark::State& state) {
-  FeatureMatrix x;
-  std::vector<double> y;
-  MakeData(160, 12, &x, &y);
-  SvrConfig svr_cfg;
-  svr_cfg.max_iterations = 120;
-  SvRegression proto(svr_cfg);
-  FeatureSelectionConfig fs_cfg;
-  fs_cfg.cv_folds = 4;
-  ThreadPool pool(static_cast<int>(state.range(0)));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(ForwardFeatureSelection(proto, x, y, fs_cfg, &pool));
-  }
-}
-BENCHMARK(BM_ForwardFeatureSelectionThreads)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->UseRealTime()
-    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace qpp

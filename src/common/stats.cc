@@ -22,23 +22,6 @@ double Variance(const std::vector<double>& v) {
 
 double Stddev(const std::vector<double>& v) { return std::sqrt(Variance(v)); }
 
-double PearsonCorrelation(const std::vector<double>& x,
-                          const std::vector<double>& y) {
-  if (x.size() != y.size() || x.empty()) return 0.0;
-  const double mx = Mean(x);
-  const double my = Mean(y);
-  double sxy = 0.0, sxx = 0.0, syy = 0.0;
-  for (size_t i = 0; i < x.size(); ++i) {
-    const double dx = x[i] - mx;
-    const double dy = y[i] - my;
-    sxy += dx * dy;
-    sxx += dx * dx;
-    syy += dy * dy;
-  }
-  if (sxx <= 0.0 || syy <= 0.0) return 0.0;
-  return sxy / std::sqrt(sxx * syy);
-}
-
 double Percentile(std::vector<double> v, double p) {
   if (v.empty()) return 0.0;
   std::sort(v.begin(), v.end());

@@ -15,8 +15,8 @@
 namespace qpp {
 
 /// \brief Fixed-size thread pool for the training-side parallelism of the
-/// library (cross-validation folds, feature-selection candidates,
-/// per-operator-type model fits, bench harnesses).
+/// library (cross-validation folds, per-operator-type model fits, bench
+/// harnesses).
 ///
 /// Design constraints, in order:
 ///   1. Determinism. ParallelFor assigns each index to exactly one task and

@@ -17,6 +17,7 @@ class LinearRegression : public RegressionModel {
 
   Status Fit(const FeatureMatrix& x, const std::vector<double>& y) override;
   double Predict(const std::vector<double>& x) const override;
+  size_t width() const override { return coef_.size(); }
   ModelType type() const override { return ModelType::kLinearRegression; }
   std::string Serialize() const override;
   std::unique_ptr<RegressionModel> CloneUntrained() const override {

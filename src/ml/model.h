@@ -35,6 +35,9 @@ class RegressionModel {
   /// Predicts one sample (dimension must match training).
   virtual double Predict(const std::vector<double>& x) const = 0;
 
+  /// Number of input features the model was fit (or loaded) with.
+  virtual size_t width() const = 0;
+
   virtual ModelType type() const = 0;
 
   /// Text serialization (single line, '|'-separated).

@@ -44,6 +44,7 @@ class SvRegression : public RegressionModel {
 
   Status Fit(const FeatureMatrix& x, const std::vector<double>& y) override;
   double Predict(const std::vector<double>& x) const override;
+  size_t width() const override { return feat_min_.size(); }
   ModelType type() const override { return ModelType::kSvr; }
   std::string Serialize() const override;
   std::unique_ptr<RegressionModel> CloneUntrained() const override {

@@ -1,7 +1,6 @@
 #include "qpp/features.h"
 
 #include <algorithm>
-#include <limits>
 
 #include "common/bundle.h"
 
@@ -44,23 +43,6 @@ Result<FeatureMode> ParseFeatureMode(const std::string& s) {
     return Status::InvalidArgument("bad feature mode " + s);
   }
   return static_cast<FeatureMode>(mode);
-}
-
-Result<std::vector<int>> ParseFeatureIndexes(const std::string& list) {
-  const std::vector<std::string> fields = SplitPipe(list, ' ');
-  if (!fields[0].empty()) {
-    return Status::InvalidArgument("bad feature list '" + list + "'");
-  }
-  std::vector<int> indexes;
-  for (size_t i = 1; i < fields.size(); ++i) {
-    QPP_ASSIGN_OR_RETURN(const uint64_t idx,
-                         ParseU64(fields[i], "feature index"));
-    if (idx > static_cast<uint64_t>(std::numeric_limits<int>::max())) {
-      return Status::InvalidArgument("bad feature index " + fields[i]);
-    }
-    indexes.push_back(static_cast<int>(idx));
-  }
-  return indexes;
 }
 
 const std::vector<std::string>& PlanFeatureNames() {

@@ -15,10 +15,6 @@ enum class FeatureMode { kEstimate, kActual };
 /// Parses a persisted FeatureMode number; out-of-range values are errors.
 Result<FeatureMode> ParseFeatureMode(const std::string& s);
 
-/// Parses a persisted list of selected feature indexes, written as " i j k"
-/// (a space before each index; empty for none).
-Result<std::vector<int>> ParseFeatureIndexes(const std::string& list);
-
 /// Names of the plan-level features (Table 1), in extraction order:
 /// p_tot_cost, p_st_cost, p_rows, p_width, op_count, row_count, byte_count,
 /// then <operator>_cnt and <operator>_rows for every operator type.

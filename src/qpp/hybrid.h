@@ -73,7 +73,6 @@ class HybridModel {
                                   FeatureMode mode) const;
 
   const OperatorModelSet& operator_models() const { return op_models_; }
-  OperatorModelSet* mutable_operator_models() { return &op_models_; }
   const std::map<std::string, PlanLevelModel>& plan_models() const {
     return plan_models_;
   }

@@ -5,7 +5,6 @@
 
 #include "common/bundle.h"
 #include "common/thread_pool.h"
-#include "ml/feature_selection.h"
 #include "ml/linreg.h"
 
 namespace qpp {
@@ -54,7 +53,8 @@ std::vector<double> OperatorModelSet::BuildFeatures(
 // output. Child start/run times themselves re-enter the prediction
 // additively (see PredictSubplan), which hard-wires the physical prior that
 // a sub-plan's time includes its children's and keeps composition stable on
-// unforeseen plans.
+// unforeseen plans. Every model reads all kNumModelInputs of them.
+constexpr size_t kNumModelInputs = 7;
 std::vector<double> ModelInputs(const std::vector<double>& f) {
   return {f[0], f[1], f[2], f[3], f[4], f[6] - f[5], f[8] - f[7]};
 }
@@ -82,39 +82,24 @@ Status OperatorModelSet::FitAllTypes(
   }
   // Operator types train independently (disjoint models_ slots, read-only
   // shared training arrays), so the per-type fits fan out across the
-  // training pool. Feature selection inside each fit degrades to its serial
-  // path when it lands on a pool worker, keeping the parallel axis here.
-  // Types with fewer than kMinSamples samples keep the additive default.
+  // training pool. Types with fewer than kMinSamples samples keep the
+  // additive default.
   constexpr int kMinSamples = 8;
   return ThreadPool::Global()->ParallelFor(kNumPlanOps, [&](size_t t) {
     TypeModels& tm = models_[t];
     tm = TypeModels{};
     if (static_cast<int>(xs[t].size()) < kMinSamples) return Status::OK();
-    const FeatureMatrix& x = xs[t];
-    const LinearRegression prototype;
     for (int which = 0; which < 2; ++which) {
       const std::vector<double>& y = which == 0 ? start_ys[t] : run_ys[t];
-      QPP_ASSIGN_OR_RETURN(FeatureSelectionResult fs,
-                           ForwardFeatureSelection(prototype, x, y));
-      // The child-residual features (indices 5, 6 of ModelInputs) carry the
-      // blocking/pipelining signal; they stay in the model regardless of
-      // their correlation rank.
-      for (int forced : {5, 6}) {
-        bool present = false;
-        for (int sel : fs.selected) present = present || sel == forced;
-        if (!present) fs.selected.push_back(forced);
-      }
       auto model = std::make_unique<LinearRegression>();
-      QPP_RETURN_NOT_OK(model->Fit(SelectColumns(x, fs.selected), y));
+      QPP_RETURN_NOT_OK(model->Fit(xs[t], y));
       double max_target = 0.0;
       for (double target : y) max_target = std::max(max_target, target);
       if (which == 0) {
         tm.start_model = std::move(model);
-        tm.start_features = fs.selected;
         tm.max_start_target = max_target;
       } else {
         tm.run_model = std::move(model);
-        tm.run_features = fs.selected;
         tm.max_run_target = max_target;
       }
     }
@@ -162,12 +147,10 @@ TimePrediction OperatorModelSet::PredictSubplan(
     // manifold (e.g. one template) must degrade gracefully on unforeseen
     // plans, not extrapolate arbitrarily.
     constexpr double kExtrapolationCap = 4.0;
-    self_start = std::clamp(
-        tm.start_model->Predict(SelectColumns(inputs, tm.start_features)),
-        0.0, kExtrapolationCap * tm.max_start_target);
-    self_run = std::clamp(
-        tm.run_model->Predict(SelectColumns(inputs, tm.run_features)), 0.0,
-        kExtrapolationCap * tm.max_run_target);
+    self_start = std::clamp(tm.start_model->Predict(inputs), 0.0,
+                            kExtrapolationCap * tm.max_start_target);
+    self_run = std::clamp(tm.run_model->Predict(inputs), 0.0,
+                          kExtrapolationCap * tm.max_run_target);
   }
   TimePrediction out;
   out.start_ms = st1 + st2 + self_start;
@@ -193,12 +176,8 @@ std::string OperatorModelSet::Serialize() const {
     out << "optype " << t << "\n";
     out << "max_targets " << tm.max_start_target << " " << tm.max_run_target
         << "\n";
-    out << "start_features";
-    for (int s : tm.start_features) out << " " << s;
-    out << "\nstart_model " << tm.start_model->Serialize() << "\n";
-    out << "run_features";
-    for (int s : tm.run_features) out << " " << s;
-    out << "\nrun_model " << tm.run_model->Serialize() << "\n";
+    out << "start_model " << tm.start_model->Serialize() << "\n";
+    out << "run_model " << tm.run_model->Serialize() << "\n";
   }
   return out.str();
 }
@@ -228,16 +207,20 @@ Result<OperatorModelSet> OperatorModelSet::Deserialize(const std::string& text) 
                            ParseDouble(f[0], "max start target"));
       QPP_ASSIGN_OR_RETURN(tm->max_run_target,
                            ParseDouble(f[1], "max run target"));
-    } else if (tm != nullptr && line.rfind("start_features", 0) == 0) {
-      QPP_ASSIGN_OR_RETURN(tm->start_features,
-                           ParseFeatureIndexes(line.substr(14)));
     } else if (tm != nullptr && line.rfind("start_model ", 0) == 0) {
       QPP_ASSIGN_OR_RETURN(tm->start_model, DeserializeModel(line.substr(12)));
-    } else if (tm != nullptr && line.rfind("run_features", 0) == 0) {
-      QPP_ASSIGN_OR_RETURN(tm->run_features,
-                           ParseFeatureIndexes(line.substr(12)));
     } else if (tm != nullptr && line.rfind("run_model ", 0) == 0) {
       QPP_ASSIGN_OR_RETURN(tm->run_model, DeserializeModel(line.substr(10)));
+    }
+  }
+  for (const TypeModels& t : set.models_) {
+    for (const RegressionModel* model :
+         {t.start_model.get(), t.run_model.get()}) {
+      if (model != nullptr && model->width() != kNumModelInputs) {
+        return Status::InvalidArgument(
+            "operator model width " + std::to_string(model->width()) +
+            ", expected " + std::to_string(kNumModelInputs));
+      }
     }
   }
   set.trained_ = true;

@@ -38,8 +38,8 @@ class PlanLevelModel {
   explicit PlanLevelModel(PlanModelConfig config) : config_(config) {}
 
   /// Trains on the given occurrences (all must share a structural key).
-  /// Runs forward feature selection, fits the model, and records a
-  /// cross-validated accuracy estimate over kCvFolds folds (plan_model.cc).
+  /// Fits the model on all Table 1 features and records a cross-validated
+  /// accuracy estimate over kCvFolds folds (plan_model.cc).
   Status Train(const std::vector<PlanOccurrence>& occurrences);
 
   /// Predicted run-time (ms) of the sub-plan rooted at op_index.
@@ -50,16 +50,15 @@ class PlanLevelModel {
   const std::string& structural_key() const { return structural_key_; }
   /// CV mean relative error measured during training.
   double cv_error() const { return cv_error_; }
-  const std::vector<int>& selected_features() const { return selected_; }
 
   /// Multi-line text serialization / parsing (model materialization).
+  /// Parsing refuses a model whose width is not the Table 1 feature count.
   std::string Serialize() const;
   static Result<PlanLevelModel> Deserialize(const std::string& text);
 
  private:
   PlanModelConfig config_;
   std::string structural_key_;
-  std::vector<int> selected_;
   std::unique_ptr<RegressionModel> model_;
   double cv_error_ = 1e300;
 };

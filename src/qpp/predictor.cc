@@ -130,7 +130,7 @@ Result<double> QueryPerformancePredictor::PredictLatencyMs(
 Result<std::string> QueryPerformancePredictor::SerializeModels() const {
   if (!trained_) return Status::InvalidArgument("predictor not trained");
   std::ostringstream out;
-  out << "qpp models v2\n";
+  out << "qpp models v3\n";
   out << "method " << static_cast<int>(config_.method) << "\n";
   out << "feature_mode " << static_cast<int>(config_.feature_mode) << "\n";
   switch (config_.method) {
@@ -161,9 +161,14 @@ Status QueryPerformancePredictor::LoadModelsFromText(
     const std::string& text, const std::string& source_name) {
   std::istringstream in(text);
   std::string line;
-  if (!std::getline(in, line) ||
-      (line != "qpp models v2" && line != "qpp models v1")) {
+  if (!std::getline(in, line) || line.rfind("qpp models ", 0) != 0) {
     return Status::IOError(source_name + ": not a qpp model payload");
+  }
+  if (line != "qpp models v3") {
+    // v1 and v2 wrote a feature list per model, which v3 models do not read:
+    // a v2 list can permute all of a model's inputs.
+    return Status::IOError(source_name + ": unsupported payload version '" +
+                           line + "', expected 'qpp models v3'");
   }
   if (!std::getline(in, line) || line.rfind("method ", 0) != 0) {
     return Status::IOError(source_name + ": missing method line");
@@ -204,26 +209,14 @@ Status QueryPerformancePredictor::LoadModelsFromText(
           training_log_,
           QueryLog::LoadFromStream(log_in, source_name + " (embedded log)"));
       have_log = true;
-    } else if (line == "=== ops" || line == "=== plan") {
-      // Bare sections: v1 files and the kPlanLevel global model.
-      const bool is_ops = line == "=== ops";
+    } else if (line == "=== plan") {
+      // The kPlanLevel global model.
       std::string payload;
       while (std::getline(in, line) && line != "=== end") {
         payload += line + "\n";
       }
-      if (is_ops) {
-        QPP_ASSIGN_OR_RETURN(OperatorModelSet ops,
-                             OperatorModelSet::Deserialize(payload));
-        *hybrid_.mutable_operator_models() = std::move(ops);
-      } else {
-        QPP_ASSIGN_OR_RETURN(PlanLevelModel model,
-                             PlanLevelModel::Deserialize(payload));
-        if (config_.method == PredictionMethod::kPlanLevel) {
-          global_plan_model_ = std::move(model);
-        } else {
-          hybrid_.AddPlanModel(std::move(model));
-        }
-      }
+      QPP_ASSIGN_OR_RETURN(global_plan_model_,
+                           PlanLevelModel::Deserialize(payload));
     }
   }
   switch (config_.method) {

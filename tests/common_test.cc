@@ -414,18 +414,6 @@ TEST(StatsTest, MeanVarianceStddev) {
   EXPECT_EQ(Mean({}), 0.0);
 }
 
-TEST(StatsTest, PearsonPerfectCorrelation) {
-  const std::vector<double> x = {1, 2, 3, 4, 5};
-  const std::vector<double> y = {2, 4, 6, 8, 10};
-  EXPECT_NEAR(PearsonCorrelation(x, y), 1.0, 1e-12);
-  std::vector<double> neg = {10, 8, 6, 4, 2};
-  EXPECT_NEAR(PearsonCorrelation(x, neg), -1.0, 1e-12);
-}
-
-TEST(StatsTest, PearsonZeroVarianceIsZero) {
-  EXPECT_EQ(PearsonCorrelation({1, 1, 1}, {1, 2, 3}), 0.0);
-}
-
 TEST(StatsTest, PercentileInterpolates) {
   std::vector<double> v = {4, 1, 3, 2};
   EXPECT_DOUBLE_EQ(Percentile(v, 0), 1.0);

@@ -1,8 +1,7 @@
 // Determinism and safety contract of the training-side parallelism: the
-// thread pool itself, bit-identical results from CrossValidate /
-// ForwardFeatureSelection at 1 vs 4 threads, and one OnlinePredictor
-// shared by several predicting threads. These tests are the ones
-// scripts/tier1.sh re-runs under ThreadSanitizer.
+// thread pool itself, bit-identical results from CrossValidate at 1 vs 4
+// threads, and one OnlinePredictor shared by several predicting threads.
+// These tests are the ones scripts/tier1.sh re-runs under ThreadSanitizer.
 
 #include <gtest/gtest.h>
 
@@ -13,7 +12,6 @@
 
 #include "common/rng.h"
 #include "common/thread_pool.h"
-#include "ml/feature_selection.h"
 #include "ml/linreg.h"
 #include "ml/svr.h"
 #include "ml/validation.h"
@@ -149,51 +147,6 @@ TEST(DeterminismTest, CrossValidateBitIdenticalAcrossThreadCounts) {
       EXPECT_EQ(cv1->predictions[i], cv4->predictions[i])
           << name << " sample " << i;
     }
-  }
-}
-
-TEST(DeterminismTest, FeatureSelectionBitIdenticalAcrossThreadCounts) {
-  FeatureMatrix x;
-  std::vector<double> y;
-  MakeRegressionData(150, 10, 77, &x, &y);
-  LinearRegression proto;
-  FeatureSelectionConfig cfg;
-  cfg.cv_folds = 4;
-
-  ThreadPool serial(1), parallel(4);
-  auto fs1 = ForwardFeatureSelection(proto, x, y, cfg, &serial);
-  auto fs4 = ForwardFeatureSelection(proto, x, y, cfg, &parallel);
-  ASSERT_TRUE(fs1.ok() && fs4.ok());
-  EXPECT_EQ(fs1->selected, fs4->selected);
-  EXPECT_EQ(fs1->cv_error, fs4->cv_error);
-
-  // The selected set must also reproduce identical held-out fold
-  // predictions when re-scored on either pool.
-  const FeatureMatrix projected = SelectColumns(x, fs1->selected);
-  Rng rng(5);
-  const auto folds = KFold(x.size(), cfg.cv_folds, &rng);
-  auto re1 = CrossValidate(proto, projected, y, folds, &serial);
-  auto re4 = CrossValidate(proto, projected, y, folds, &parallel);
-  ASSERT_TRUE(re1.ok() && re4.ok());
-  EXPECT_EQ(re1->predictions, re4->predictions);
-}
-
-TEST(DeterminismTest, FeatureSelectionStableUnderRepeatedParallelRuns) {
-  FeatureMatrix x;
-  std::vector<double> y;
-  MakeRegressionData(100, 8, 123, &x, &y);
-  SvrConfig svr_cfg;
-  svr_cfg.max_iterations = 60;
-  SvRegression proto(svr_cfg);
-  ThreadPool parallel(4);
-
-  auto first = ForwardFeatureSelection(proto, x, y, {}, &parallel);
-  ASSERT_TRUE(first.ok());
-  for (int run = 0; run < 3; ++run) {
-    auto again = ForwardFeatureSelection(proto, x, y, {}, &parallel);
-    ASSERT_TRUE(again.ok());
-    EXPECT_EQ(first->selected, again->selected) << "run " << run;
-    EXPECT_EQ(first->cv_error, again->cv_error) << "run " << run;
   }
 }
 

@@ -5,7 +5,6 @@
 
 #include "common/rng.h"
 #include "common/stats.h"
-#include "ml/feature_selection.h"
 #include "ml/linreg.h"
 #include "ml/svr.h"
 #include "ml/validation.h"
@@ -290,85 +289,6 @@ TEST(CrossValidateTest, NearZeroErrorOnLearnableData) {
 TEST(CrossValidateTest, RejectsEmptyData) {
   LinearRegression proto;
   EXPECT_FALSE(CrossValidate(proto, {}, {}, {}).ok());
-}
-
-// ----------------------------- Feature selection ----------------------------
-
-TEST(FeatureSelectionTest, RanksByCorrelation) {
-  Rng rng(10);
-  FeatureMatrix x;
-  std::vector<double> y;
-  for (int i = 0; i < 200; ++i) {
-    const double signal = rng.UniformDouble(0, 1);
-    const double weak = signal + rng.Gaussian(0, 2.0);
-    const double noise = rng.UniformDouble(0, 1);
-    x.push_back({noise, weak, signal});
-    y.push_back(10 * signal);
-  }
-  const auto ranked = RankFeaturesByCorrelation(x, y);
-  EXPECT_EQ(ranked[0], 2);  // exact signal first
-}
-
-TEST(FeatureSelectionTest, SelectsPlantedFeaturesAndSkipsNoise) {
-  Rng rng(11);
-  FeatureMatrix x;
-  std::vector<double> y;
-  for (int i = 0; i < 300; ++i) {
-    const double a = rng.UniformDouble(0, 1);
-    const double b = rng.UniformDouble(0, 1);
-    const double n1 = rng.UniformDouble(0, 1);
-    const double n2 = rng.UniformDouble(0, 1);
-    x.push_back({n1, a, n2, b});
-    y.push_back(4 * a + 2 * b + rng.Gaussian(0, 0.01));
-  }
-  LinearRegression proto;
-  auto result = ForwardFeatureSelection(proto, x, y, {});
-  ASSERT_TRUE(result.ok());
-  std::set<int> selected(result->selected.begin(), result->selected.end());
-  EXPECT_TRUE(selected.count(1));
-  EXPECT_TRUE(selected.count(3));
-  EXPECT_LT(result->cv_error, 0.05);
-}
-
-TEST(FeatureSelectionTest, MaxFeaturesBound) {
-  Rng rng(12);
-  FeatureMatrix x;
-  std::vector<double> y;
-  for (int i = 0; i < 100; ++i) {
-    std::vector<double> row;
-    double target = 0;
-    for (int j = 0; j < 6; ++j) {
-      const double v = rng.UniformDouble(0, 1);
-      row.push_back(v);
-      target += (j + 1) * v;
-    }
-    x.push_back(row);
-    y.push_back(target);
-  }
-  FeatureSelectionConfig cfg;
-  cfg.max_features = 2;
-  LinearRegression proto;
-  auto result = ForwardFeatureSelection(proto, x, y, cfg);
-  ASSERT_TRUE(result.ok());
-  EXPECT_LE(result->selected.size(), 2u);
-}
-
-TEST(FeatureSelectionTest, DegenerateTargetStillSelectsSomething) {
-  FeatureMatrix x = {{1, 2}, {3, 4}, {5, 6}, {7, 8}, {9, 10}, {11, 12}};
-  std::vector<double> y = {5, 5, 5, 5, 5, 5};
-  LinearRegression proto;
-  auto result = ForwardFeatureSelection(proto, x, y, {});
-  ASSERT_TRUE(result.ok());
-  EXPECT_FALSE(result->selected.empty());
-}
-
-TEST(SelectColumnsTest, ProjectsAndPadsMissing) {
-  const std::vector<double> row = {10, 20, 30};
-  const auto projected = SelectColumns(row, {2, 0, 9});
-  ASSERT_EQ(projected.size(), 3u);
-  EXPECT_EQ(projected[0], 30);
-  EXPECT_EQ(projected[1], 10);
-  EXPECT_EQ(projected[2], 0);  // out-of-range pads zero
 }
 
 }  // namespace

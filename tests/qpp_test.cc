@@ -352,7 +352,9 @@ TEST_F(QppTest, PredictorModelMaterializationRoundTrip) {
 }
 
 // Every number of a model payload is parsed strictly: a malformed one is an
-// error from LoadModelsFromText, never an exception or a silent zero.
+// error from LoadModelsFromText, never an exception or a silent zero. So is
+// a model whose width is not its input count (31 plan features, 7 operator
+// inputs), and a payload of a version before v3.
 TEST_F(QppTest, MalformedModelPayloadNumbersAreErrors) {
   const auto serialized = [](PredictionMethod method) {
     PredictorConfig cfg;
@@ -384,11 +386,12 @@ TEST_F(QppTest, MalformedModelPayloadNumbersAreErrors) {
       {&ops, "optype 3x"},
       {&ops, "max_targets 1.5 2.5oops"},
       {&ops, "max_targets 1.5"},
-      {&ops, "start_features 1 two"},
       {&ops, "run_model linreg|0|abc|0"},
+      {&ops, "start_model linreg|1e-06|0.5|2|1|2"},
+      {&ops, "run_model linreg|1e-06|0.5|8|1|2|3|4|5|6|7|8"},
       {&plan, "cv_error NaNa"},
-      {&plan, "features 1 -2"},
       {&plan, "model svr|0|1|0.1|1|0|1|9223372036854775808|2|0|0"},
+      {&plan, "model svr|0|1|0.1|1|0|1|2|1|0|0|1|1|0.5|0.2|0.3"},
   };
   for (const auto& [text, line] : cases) {
     const std::string prefix = line.substr(0, line.find(' ') + 1);
@@ -397,6 +400,10 @@ TEST_F(QppTest, MalformedModelPayloadNumbersAreErrors) {
         restored.LoadModelsFromText(with_line(*text, prefix, line)).ok())
         << line;
   }
+  const std::string v2 = "qpp models v2" + ops.substr(ops.find('\n'));
+  const Status v2_status = QueryPerformancePredictor().LoadModelsFromText(v2);
+  EXPECT_NE(v2_status.message().find("qpp models v2"), std::string::npos)
+      << v2_status.ToString();
 }
 
 TEST_F(QppTest, OnlineModelsMaterializeViaEmbeddedLog) {
