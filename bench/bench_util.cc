@@ -4,8 +4,10 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <sstream>
 
+#include "catalog/database.h"
 #include "ml/validation.h"
 #include "tpch/dbgen.h"
 #include "workload/runner.h"
@@ -35,6 +37,9 @@ double SmallScaleFactor() { return EnvDouble("QPP_SF_SMALL", 0.01); }
 double LargeScaleFactor() { return EnvDouble("QPP_SF_LARGE", 0.05); }
 int QueriesPerTemplate() { return EnvInt("QPP_QUERIES", 30); }
 
+namespace {
+
+/// Builds (and analyzes) a TPC-H database at the given scale factor.
 std::unique_ptr<Database> BuildDatabase(double scale_factor) {
   tpch::DbgenConfig cfg;
   cfg.scale_factor = scale_factor;
@@ -54,8 +59,9 @@ std::unique_ptr<Database> BuildDatabase(double scale_factor) {
   return db;
 }
 
-QueryLog GetWorkload(Database* db, double scale_factor,
-                     const std::vector<int>& templates,
+}  // namespace
+
+QueryLog GetWorkload(double scale_factor, const std::vector<int>& templates,
                      const std::string& label) {
   std::ostringstream tag;
   tag << "wl_sf" << scale_factor << "_q" << QueriesPerTemplate() << "_t";
@@ -73,10 +79,11 @@ QueryLog GetWorkload(Database* db, double scale_factor,
   std::printf("[%s DB] executing workload (%zu templates x %d queries)...\n",
               label.c_str(), templates.size(), QueriesPerTemplate());
   std::fflush(stdout);
+  const std::unique_ptr<Database> db = BuildDatabase(scale_factor);
   WorkloadConfig wc;
   wc.templates = templates;
   wc.queries_per_template = QueriesPerTemplate();
-  auto log = RunWorkload(db, wc);
+  auto log = RunWorkload(db.get(), wc);
   if (!log.ok()) {
     std::fprintf(stderr, "workload failed: %s\n",
                  log.status().ToString().c_str());

@@ -10,11 +10,9 @@
 //                  (default ./qpp_cache; set empty to disable)
 
 #include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "catalog/database.h"
 #include "common/stats.h"
 #include "qpp/predictor.h"
 #include "workload/query_log.h"
@@ -27,14 +25,11 @@ double SmallScaleFactor();
 double LargeScaleFactor();
 int QueriesPerTemplate();
 
-/// Builds (and analyzes) a TPC-H database at the given scale factor.
-std::unique_ptr<Database> BuildDatabase(double scale_factor);
-
-/// Executes (or loads from cache) the workload for the given templates on a
-/// database of the given scale factor. `label` names the database in output
+/// Loads the workload for the given templates from the label cache, or, on
+/// a miss, builds and analyzes a TPC-H database of the given scale factor
+/// and executes the workload on it. `label` names the database in output
 /// ("large" / "small").
-QueryLog GetWorkload(Database* db, double scale_factor,
-                     const std::vector<int>& templates,
+QueryLog GetWorkload(double scale_factor, const std::vector<int>& templates,
                      const std::string& label);
 
 /// Per-template mean relative error from aligned (template, actual,

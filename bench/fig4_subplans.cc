@@ -22,8 +22,7 @@ int main() {
       "Paper shape: small sub-plans dominate (CDF saturates quickly); the\n"
       "most common sub-plans are the orders/lineitem join cores; every\n"
       "template except 6 shares sub-plans with at least one other.\n");
-  auto db = BuildDatabase(LargeScaleFactor());
-  const QueryLog log = GetWorkload(db.get(), LargeScaleFactor(),
+  const QueryLog log = GetWorkload(LargeScaleFactor(),
                                    tpch::OperatorLevelTemplates(), "large");
 
   struct KeyInfo {

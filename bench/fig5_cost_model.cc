@@ -14,8 +14,7 @@ using namespace qpp::bench;
 int main() {
   PrintSectionHeader(
       "Figure 5 / Section 5.2 - Prediction with Optimizer Cost Models");
-  auto db = BuildDatabase(LargeScaleFactor());
-  const QueryLog log = GetWorkload(db.get(), LargeScaleFactor(),
+  const QueryLog log = GetWorkload(LargeScaleFactor(),
                                    tpch::PlanLevelTemplates(), "large");
 
   PredictorConfig cfg;

@@ -15,12 +15,9 @@ using namespace qpp::bench;
 namespace {
 
 void RunForDatabase(const std::string& label, double sf) {
-  auto db = BuildDatabase(sf);
-
   // Plan-level over the 18 plan-level templates.
   {
-    const QueryLog log =
-        GetWorkload(db.get(), sf, tpch::PlanLevelTemplates(), label);
+    const QueryLog log = GetWorkload(sf, tpch::PlanLevelTemplates(), label);
     PredictorConfig cfg;
     cfg.method = PredictionMethod::kPlanLevel;
     const CvPredictions cv = CrossValidatedPredictions(log, cfg);
@@ -45,7 +42,7 @@ void RunForDatabase(const std::string& label, double sf) {
   // Operator-level over the 14 operator-level templates.
   {
     const QueryLog log =
-        GetWorkload(db.get(), sf, tpch::OperatorLevelTemplates(), label);
+        GetWorkload(sf, tpch::OperatorLevelTemplates(), label);
     PredictorConfig cfg;
     cfg.method = PredictionMethod::kOperatorLevel;
     const CvPredictions cv = CrossValidatedPredictions(log, cfg);

@@ -86,10 +86,9 @@ int main() {
       "Paper shape: actual/actual best, estimate/estimate a close second,\n"
       "actual/estimate much worse (models trained on clean values cannot\n"
       "absorb optimizer estimation errors at test time).\n");
-  auto db = BuildDatabase(LargeScaleFactor());
-  const QueryLog plan_log = GetWorkload(db.get(), LargeScaleFactor(),
+  const QueryLog plan_log = GetWorkload(LargeScaleFactor(),
                                         tpch::PlanLevelTemplates(), "large");
-  const QueryLog op_log = GetWorkload(db.get(), LargeScaleFactor(),
+  const QueryLog op_log = GetWorkload(LargeScaleFactor(),
                                       tpch::OperatorLevelTemplates(), "large");
 
   const Combo combos[] = {

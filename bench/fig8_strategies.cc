@@ -17,8 +17,7 @@ int main() {
   std::printf(
       "Paper shape: error-based drops fastest; size-based reaches the same\n"
       "floor more slowly; frequency-based stalls early before improving.\n");
-  auto db = BuildDatabase(LargeScaleFactor());
-  const QueryLog log = GetWorkload(db.get(), LargeScaleFactor(),
+  const QueryLog log = GetWorkload(LargeScaleFactor(),
                                    tpch::OperatorLevelTemplates(), "large");
   std::vector<const QueryRecord*> refs;
   for (const auto& q : log.queries) refs.push_back(&q);

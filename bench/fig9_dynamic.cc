@@ -47,8 +47,7 @@ int main() {
       "Paper shape: plan-level performs poorly across the board; hybrid\n"
       "methods stay accurate, online modeling best on most templates, with\n"
       "size-based ordering somewhat ahead of error-based.\n");
-  auto db = BuildDatabase(LargeScaleFactor());
-  const QueryLog log = GetWorkload(db.get(), LargeScaleFactor(),
+  const QueryLog log = GetWorkload(LargeScaleFactor(),
                                    tpch::DynamicWorkloadTemplates(), "large");
 
   auto config = [](PredictionMethod method, PlanOrderingStrategy strategy) {

@@ -4,16 +4,12 @@
 
 #include <benchmark/benchmark.h>
 
-#include <chrono>
-#include <mutex>
-
 #include "bench/bench_json.h"
 #include "bench/check.h"
 #include "common/rng.h"
 #include "ml/linreg.h"
 #include "ml/svr.h"
 #include "ml/validation.h"
-#include "obs/metrics.h"
 
 namespace qpp {
 namespace {
@@ -80,38 +76,19 @@ void BM_SvrPredict(benchmark::State& state) {
 }
 BENCHMARK(BM_SvrPredict);
 
-// Cross-validation with per-fold wall-time flowing into the global metrics
-// registry ("ml.cv.fold_ms"). src/ml itself is clock-free (determinism
-// lint); the timing lives here in the hooks, and the histogram rides along
-// in BENCH_micro_ml.json.
-void BM_CrossValidateTimedFolds(benchmark::State& state) {
+// 5-fold cross-validation of a linear model, the whole CrossValidate call.
+void BM_CrossValidate(benchmark::State& state) {
   FeatureMatrix x;
   std::vector<double> y;
   MakeData(400, 9, &x, &y);
   Rng rng(7);
   const std::vector<Fold> folds = KFold(y.size(), 5, &rng);
-  obs::Histogram* fold_ms = obs::MetricsRegistry::Global()->GetHistogram(
-      "ml.cv.fold_ms", obs::ExponentialBuckets(0.01, 2.0, 20));
-  // Hooks run concurrently on pool threads; guard the per-fold start map.
-  std::mutex mu;
-  std::vector<std::chrono::steady_clock::time_point> started(folds.size());
-  FoldTimingHooks hooks;
-  hooks.on_fold_begin = [&](size_t f) {
-    std::lock_guard<std::mutex> lock(mu);
-    started[f] = std::chrono::steady_clock::now();
-  };
-  hooks.on_fold_end = [&](size_t f) {
-    const auto now = std::chrono::steady_clock::now();
-    std::lock_guard<std::mutex> lock(mu);
-    fold_ms->Observe(
-        std::chrono::duration<double, std::milli>(now - started[f]).count());
-  };
   LinearRegression proto;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(CrossValidate(proto, x, y, folds, nullptr, hooks));
+    benchmark::DoNotOptimize(CrossValidate(proto, x, y, folds));
   }
 }
-BENCHMARK(BM_CrossValidateTimedFolds);
+BENCHMARK(BM_CrossValidate);
 
 }  // namespace
 }  // namespace qpp

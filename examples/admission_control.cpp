@@ -54,7 +54,7 @@ int main() {
   // back (verifying the checksum), and publish it into the registry.
   const std::string bundle_path = "admission_model.qppb";
   if (!serve::SaveModelBundle(trained, bundle_path).ok()) return 1;
-  auto deployed = serve::LoadModelBundle(bundle_path, cfg);
+  auto deployed = serve::LoadModelBundle(bundle_path);
   if (!deployed.ok()) {
     std::printf("model load failed: %s\n", deployed.status().ToString().c_str());
     return 1;

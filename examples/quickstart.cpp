@@ -71,9 +71,9 @@ int main() {
     return 1;
   }
   std::printf("  training error %.1f%% -> %.1f%% after %zu plan-level models\n",
-              100.0 * predictor.hybrid().initial_error(),
-              100.0 * predictor.hybrid().final_error(),
-              predictor.hybrid().plan_models().size());
+              100.0 * predictor.hybrid()->initial_error(),
+              100.0 * predictor.hybrid()->final_error(),
+              predictor.hybrid()->plan_models().size());
 
   // 4. New queries: predict first (static features only), then execute.
   std::printf("\n%-8s %-24s %-14s %-12s %s\n", "template", "parameters",

@@ -58,8 +58,7 @@ Result<CvResult> CrossValidate(const RegressionModel& prototype,
                                const FeatureMatrix& x,
                                const std::vector<double>& y,
                                const std::vector<Fold>& folds,
-                               ThreadPool* pool,
-                               const FoldTimingHooks& hooks) {
+                               ThreadPool* pool) {
   if (x.size() != y.size() || x.empty()) {
     return Status::InvalidArgument("empty or mismatched data");
   }
@@ -67,13 +66,11 @@ Result<CvResult> CrossValidate(const RegressionModel& prototype,
 
   // Each fold trains a private clone and writes only its own slot; the
   // aggregation below happens on this thread in fold order, so the result is
-  // independent of scheduling. Hooks bracket the fold body so a caller can
-  // time it; skipped (empty) folds are not reported.
+  // independent of scheduling.
   std::vector<std::vector<double>> fold_preds(folds.size());
   Status st = pool->ParallelFor(folds.size(), [&](size_t f) {
     const Fold& fold = folds[f];
     if (fold.train.empty() || fold.test.empty()) return Status::OK();
-    if (hooks.on_fold_begin) hooks.on_fold_begin(f);
     FeatureMatrix train_x;
     std::vector<double> train_y;
     train_x.reserve(fold.train.size());
@@ -88,7 +85,6 @@ Result<CvResult> CrossValidate(const RegressionModel& prototype,
     for (size_t idx : fold.test) {
       fold_preds[f].push_back(model->Predict(x[idx]));
     }
-    if (hooks.on_fold_end) hooks.on_fold_end(f);
     return Status::OK();
   });
   QPP_RETURN_NOT_OK(st);

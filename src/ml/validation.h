@@ -1,6 +1,5 @@
 #pragma once
 
-#include <functional>
 #include <vector>
 
 #include "common/rng.h"
@@ -32,16 +31,6 @@ struct CvResult {
   std::vector<double> predictions;
 };
 
-/// Observation callbacks bracketing each fold's fit+predict. The ML layer
-/// deliberately has no clocks (determinism lint); callers that want per-fold
-/// timings (bench/, obs adopters) read the clock in these hooks instead.
-/// Hooks run on pool threads, possibly concurrently — they must be
-/// thread-safe. Either may be empty.
-struct FoldTimingHooks {
-  std::function<void(size_t fold)> on_fold_begin;
-  std::function<void(size_t fold)> on_fold_end;
-};
-
 /// Trains a fresh clone of `prototype` on each fold's training part and
 /// predicts its test part; the paper's accuracy-estimation procedure.
 ///
@@ -52,7 +41,6 @@ Result<CvResult> CrossValidate(const RegressionModel& prototype,
                                const FeatureMatrix& x,
                                const std::vector<double>& y,
                                const std::vector<Fold>& folds,
-                               ThreadPool* pool = nullptr,
-                               const FoldTimingHooks& hooks = {});
+                               ThreadPool* pool = nullptr);
 
 }  // namespace qpp

@@ -73,8 +73,6 @@ PredictionServer::PredictionServer(serve::PredictionService* service,
     : service_(service),
       config_(std::move(config)),
       rbuf_(kReadBufferBytes),
-      in_flight_gauge_(
-          obs::MetricsRegistry::Global()->GetGauge("net.server.in_flight")),
       queue_depth_gauge_(
           obs::MetricsRegistry::Global()->GetGauge("net.server.queue_depth")),
       connections_gauge_(
@@ -247,7 +245,6 @@ void PredictionServer::ReactorLoop() {
       }
     }
     ReapDead();
-    in_flight_gauge_->Set(static_cast<double>(batch_.size()));
     queue_depth_gauge_->Set(static_cast<double>(batch_.size()));
     connections_gauge_->Set(static_cast<double>(open_conns_));
     if (draining_.load(std::memory_order_acquire)) {

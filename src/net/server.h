@@ -224,7 +224,6 @@ class PredictionServer {
   std::atomic<uint64_t> dropped_disconnect_{0};
 
   /// Shared obs instrumentation (global registry; see DESIGN.md naming).
-  obs::Gauge* in_flight_gauge_;
   obs::Gauge* queue_depth_gauge_;
   obs::Gauge* connections_gauge_;
   obs::Counter* shed_counter_;

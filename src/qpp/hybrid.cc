@@ -90,10 +90,6 @@ Status HybridModel::EvaluateTrainingError(
   return Status::OK();
 }
 
-void HybridModel::AddPlanModel(PlanLevelModel model) {
-  plan_models_[model.structural_key()] = std::move(model);
-}
-
 Status HybridModel::Train(const std::vector<const QueryRecord*>& queries) {
   if (queries.empty()) return Status::InvalidArgument("no training queries");
   QPP_RETURN_NOT_OK(op_models_.Train(queries));
@@ -233,9 +229,8 @@ std::string HybridModel::Serialize() const {
   return out.str();
 }
 
-Result<HybridModel> HybridModel::Deserialize(const std::string& text,
-                                             HybridConfig config) {
-  HybridModel hybrid(config);
+Result<HybridModel> HybridModel::Deserialize(const std::string& text) {
+  HybridModel hybrid;
   std::istringstream in(text);
   std::string line;
   if (!std::getline(in, line) || line != "hybridmodel v1") {
@@ -261,7 +256,7 @@ Result<HybridModel> HybridModel::Deserialize(const std::string& text,
       } else {
         QPP_ASSIGN_OR_RETURN(PlanLevelModel model,
                              PlanLevelModel::Deserialize(payload));
-        hybrid.AddPlanModel(std::move(model));
+        hybrid.plan_models_[model.structural_key()] = std::move(model);
       }
     }
   }

@@ -53,7 +53,9 @@ struct HybridIteration {
 
 /// \brief Hybrid QPP (Section 3.4): operator-level models everywhere, plus
 /// plan-level models for the sub-plans where operator composition is weak,
-/// chosen greedily by a plan ordering strategy (Algorithm 1).
+/// chosen greedily by a plan ordering strategy (Algorithm 1). With
+/// max_iterations 0 it is the plain operator-level stack: kOperatorLevel's
+/// model, and the one an OnlinePredictor owns (online.h).
 class HybridModel {
  public:
   HybridModel() = default;
@@ -67,11 +69,6 @@ class HybridModel {
   /// match wins).
   double PredictQuery(const QueryRecord& query, FeatureMode mode) const;
 
-  /// Override hook exposing the plan-model substitution (used by the online
-  /// builder and by prediction internals).
-  PredictionOverride MakeOverride(const QueryRecord& query,
-                                  FeatureMode mode) const;
-
   const OperatorModelSet& operator_models() const { return op_models_; }
   const std::map<std::string, PlanLevelModel>& plan_models() const {
     return plan_models_;
@@ -83,22 +80,21 @@ class HybridModel {
   /// Final training error.
   double final_error() const { return final_error_; }
 
-  const HybridConfig& config() const { return config_; }
-
-  /// Adds an externally built plan-level model (used by the online builder).
-  void AddPlanModel(PlanLevelModel model);
-
   /// Multi-line text serialization of the trained stack (operator model set
   /// plus every kept plan-level model, terminated by "=== endhybrid").
   /// Training history is not persisted; errors are, for inspection.
   std::string Serialize() const;
 
-  /// Restores a stack persisted by Serialize(). `config` supplies the
-  /// non-persisted training configuration (used only if retrained later).
-  static Result<HybridModel> Deserialize(const std::string& text,
-                                         HybridConfig config = HybridConfig{});
+  /// Restores a stack persisted by Serialize(), for prediction (a loaded
+  /// stack is never retrained, so no training configuration is restored).
+  static Result<HybridModel> Deserialize(const std::string& text);
 
  private:
+  /// Override hook substituting the kept plan-level models during
+  /// operator composition.
+  PredictionOverride MakeOverride(const QueryRecord& query,
+                                  FeatureMode mode) const;
+
   /// Mean relative training error over `queries` under the current model
   /// stack, written to `*out`. Fails (instead of silently under-counting)
   /// when the thread pool reports a worker failure.

@@ -1,21 +1,30 @@
 #include "qpp/online.h"
 
 #include "common/stats.h"
+#include "ml/svr.h"
+#include "ml/validation.h"
 
 namespace qpp {
+namespace {
 
-OnlinePredictor::OnlinePredictor(std::vector<const QueryRecord*> training,
-                                 const OperatorModelSet* op_models,
+/// The gate's accuracy estimate (Section 4): kCvFolds-fold CV of the
+/// sub-plan model, over folds seeded with kCvSeed.
+constexpr int kCvFolds = 5;
+constexpr uint64_t kCvSeed = 17 ^ 0xBEEF;
+
+}  // namespace
+
+OnlinePredictor::OnlinePredictor(QueryLog training, HybridModel operators,
                                  int min_occurrences)
     : training_(std::move(training)),
-      op_models_(op_models),
+      operators_(std::move(operators)),
       min_occurrences_(min_occurrences) {
   plan_config_.require_same_key = true;
-  for (const QueryRecord* q : training_) {
-    for (size_t i = 0; i < q->ops.size(); ++i) {
-      const OperatorRecord& op = q->ops[i];
+  for (const QueryRecord& q : training_.queries) {
+    for (size_t i = 0; i < q.ops.size(); ++i) {
+      const OperatorRecord& op = q.ops[i];
       if (op.subtree_size < 2 || !op.actual.valid) continue;
-      occurrences_[op.structural_key].push_back({q, static_cast<int>(i)});
+      occurrences_[op.structural_key].push_back({&q, static_cast<int>(i)});
     }
   }
 }
@@ -43,21 +52,23 @@ void OnlinePredictor::EnsureBuilt(const std::string& key) const {
     return;
   }
 
-  // Train with mu_ released: Train fans out over ThreadPool::ParallelFor,
-  // and blocking on the pool under the cache lock would stall concurrent
-  // predictions (qpp_concur: blocking-under-lock). Everything read below --
-  // occurrences_, op_models_, plan_config_ -- is immutable after
-  // construction, so the result is bit-identical no matter which thread
-  // wins the key.
+  // Estimate and fit with mu_ released: CrossValidate and Train fan out
+  // over ThreadPool::ParallelFor, and blocking on the pool under the cache
+  // lock would stall concurrent predictions (qpp_concur:
+  // blocking-under-lock). Everything read below -- occurrences_,
+  // operators_, plan_config_ -- is immutable after construction, so the
+  // result is bit-identical no matter which thread wins the key.
   lock.unlock();
+  const std::vector<PlanOccurrence>& occurrences = occ_it->second;
+  const OperatorModelSet& op_models = operators_.operator_models();
 
   // Operator-level baseline error on these training occurrences.
   double op_err = 0.0;
   size_t n = 0;
-  for (const PlanOccurrence& occ : occ_it->second) {
+  for (const PlanOccurrence& occ : occurrences) {
     const OperatorRecord& op = occ.query->ops[static_cast<size_t>(occ.op_index)];
     if (op.actual.run_time_ms <= 0) continue;
-    const TimePrediction pred = op_models_->PredictSubplan(
+    const TimePrediction pred = op_models.PredictSubplan(
         *occ.query, occ.op_index, plan_config_.feature_mode);
     // run_time_ms > 0 was checked above, so the relative error is defined.
     op_err += *RelativeError(op.actual.run_time_ms, pred.run_ms);
@@ -65,18 +76,24 @@ void OnlinePredictor::EnsureBuilt(const std::string& key) const {
   }
   op_err = n == 0 ? 1e300 : op_err / static_cast<double>(n);
 
-  PlanLevelModel model(plan_config_);
-  Status st = model.Train(occ_it->second);
+  // The sub-plan model's estimated accuracy, over the rows Train fits.
+  FeatureMatrix x;
+  std::vector<double> y;
+  BuildPlanTrainingSet(occurrences, plan_config_.feature_mode, &x, &y);
+  Rng rng(kCvSeed);
+  const Result<CvResult> cv =
+      CrossValidate(SvRegression(), x, y, KFold(x.size(), kCvFolds, &rng));
+  // Gate: fit and keep the model only when its estimated accuracy beats the
+  // operator-level prediction for this plan structure (Section 4).
+  std::optional<PlanLevelModel> accepted;
+  if (cv.ok() && cv->mean_relative_error < op_err) {
+    PlanLevelModel model(plan_config_);
+    if (model.Train(occurrences).ok()) accepted = std::move(model);
+  }
 
   lock.lock();
   ++models_built_;
-  // Gate: only accept models whose estimated accuracy beats the
-  // operator-level prediction for this plan structure (Section 4).
-  if (!st.ok() || model.cv_error() >= op_err) {
-    cache_[key] = std::nullopt;
-  } else {
-    cache_.emplace(key, std::move(model));
-  }
+  cache_[key] = std::move(accepted);
   building_.erase(key);
   build_cv_.notify_all();
 }
@@ -99,7 +116,10 @@ double OnlinePredictor::PredictQuery(const QueryRecord& query,
     *out = PlanModelTimePrediction(*cached->second, query, op_index, mode);
     return true;
   };
-  return op_models_->PredictQuery(query, mode, override_fn);
+  // A typed local: qpp_concur resolves `operators_.operator_models()
+  // .PredictQuery` to this function and reports a self-deadlock.
+  const OperatorModelSet& op_models = operators_.operator_models();
+  return op_models.PredictQuery(query, mode, override_fn);
 }
 
 }  // namespace qpp

@@ -9,6 +9,7 @@
 
 #include "common/ordered_mutex.h"
 #include "qpp/hybrid.h"
+#include "workload/query_log.h"
 
 namespace qpp {
 
@@ -23,48 +24,50 @@ namespace qpp {
 ///
 /// PredictQuery is const and thread-safe: the model cache is an internal
 /// detail guarded by a mutex, so immutable predictor snapshots can be served
-/// concurrently (see serve/registry.h). Model *training* runs outside the
-/// lock (training calls into ThreadPool::ParallelFor, and blocking on the
-/// pool while holding the cache lock would stall every concurrent
-/// prediction -- the qpp_concur blocking-under-lock rule). "Built exactly
-/// once per structure" is kept by a building-key set: the first thread to
-/// claim a key trains it unlocked while others wait on a condition
-/// variable, and training reads only construction-time-immutable state, so
-/// results stay bit-identical under any interleaving.
+/// concurrently (see serve/registry.h). Model *building* -- the accuracy
+/// estimate and the fit -- runs outside the lock (both call into
+/// ThreadPool::ParallelFor, and blocking on the pool while holding the cache
+/// lock would stall every concurrent prediction -- the qpp_concur
+/// blocking-under-lock rule). "Built exactly once per structure" is kept by
+/// a building-key set: the first thread to claim a key builds it unlocked
+/// while others wait on a condition variable, and building reads only
+/// construction-time-immutable state, so results stay bit-identical under
+/// any interleaving.
 class OnlinePredictor {
  public:
-  /// `training` must outlive the predictor. `op_models` are the pre-built
-  /// operator-level models (always available immediately, giving the
-  /// progressive-prediction behaviour the paper describes). Sub-plan models
-  /// each cover one plan structure, as HybridModel::Train builds them.
-  OnlinePredictor(std::vector<const QueryRecord*> training,
-                  const OperatorModelSet* op_models, int min_occurrences = 10);
+  /// Owns both inputs. `training` is the log sub-plan models are built
+  /// from. `operators` is the operator-level stack trained on it (a
+  /// HybridModel with no plan models); it answers every query at once,
+  /// giving the progressive-prediction behaviour the paper describes, and
+  /// is what each sub-plan model must beat. Sub-plan models each cover one
+  /// plan structure, as HybridModel::Train builds them.
+  OnlinePredictor(QueryLog training, HybridModel operators,
+                  int min_occurrences = 10);
 
   /// Prediction for a (possibly unforeseen) query, building sub-plan models
   /// online as needed.
   double PredictQuery(const QueryRecord& query, FeatureMode mode) const;
 
-  /// Number of plan-level models built so far (cached across queries).
+  /// Number of plan structures put through the gate so far, accepted or not
+  /// (each once: the outcome is cached across queries).
   int models_built() const;
 
-  /// Re-points the operator-model set. Needed when the owner holding both
-  /// this predictor and the (by-value) model set is moved: the set's address
-  /// changes with the move, the cached training data does not.
-  void set_op_models(const OperatorModelSet* op_models) {
-    op_models_ = op_models;
-  }
+  /// What the predictor is rebuilt from (the kOnline model payload).
+  const QueryLog& training() const { return training_; }
+  const HybridModel& operators() const { return operators_; }
+  int min_occurrences() const { return min_occurrences_; }
 
  private:
-  /// Ensures cache_ has an entry (model or nullopt) for `key`, training and
-  /// gating it on first request. Takes mu_ itself; the train step runs with
-  /// mu_ released while `key` is parked in building_.
+  /// Ensures cache_ has an entry (model or nullopt) for `key`, estimating,
+  /// gating and fitting it on first request. Takes mu_ itself; that work
+  /// runs with mu_ released while `key` is parked in building_.
   void EnsureBuilt(const std::string& key) const;
 
-  std::vector<const QueryRecord*> training_;
-  const OperatorModelSet* op_models_;
+  const QueryLog training_;
+  const HybridModel operators_;
   PlanModelConfig plan_config_;
-  int min_occurrences_;
-  /// Occurrence index over the training data (immutable after construction).
+  const int min_occurrences_;
+  /// Occurrence index into training_ (immutable after construction).
   std::map<std::string, std::vector<PlanOccurrence>> occurrences_;
 
   mutable OrderedMutex mu_;

@@ -25,6 +25,14 @@ struct PlanModelConfig {
   bool require_same_key = false;
 };
 
+/// The training set of a plan-level model: each occurrence's Table 1
+/// features in `mode`, with its observed sub-plan run-time as the target.
+/// PlanLevelModel::Train fits these rows, and the online gate (online.cc)
+/// cross-validates the same rows.
+void BuildPlanTrainingSet(const std::vector<PlanOccurrence>& occurrences,
+                          FeatureMode mode, FeatureMatrix* x,
+                          std::vector<double>* y);
+
 /// \brief Coarse-grained model (Section 3.1): predicts the execution time of
 /// one plan structure directly from the Table 1 features of the (sub-)plan.
 ///
@@ -37,9 +45,9 @@ class PlanLevelModel {
   PlanLevelModel() = default;
   explicit PlanLevelModel(PlanModelConfig config) : config_(config) {}
 
-  /// Trains on the given occurrences (all must share a structural key).
-  /// Fits the model on all Table 1 features and records a cross-validated
-  /// accuracy estimate over kCvFolds folds (plan_model.cc).
+  /// Trains on the given occurrences (all must share a structural key
+  /// when the config requires it): one fit on all Table 1 features. On
+  /// failure the model is left as it was.
   Status Train(const std::vector<PlanOccurrence>& occurrences);
 
   /// Predicted run-time (ms) of the sub-plan rooted at op_index.
@@ -48,8 +56,6 @@ class PlanLevelModel {
 
   bool trained() const { return model_ != nullptr; }
   const std::string& structural_key() const { return structural_key_; }
-  /// CV mean relative error measured during training.
-  double cv_error() const { return cv_error_; }
 
   /// Multi-line text serialization / parsing (model materialization).
   /// Parsing refuses a model whose width is not the Table 1 feature count.
@@ -60,7 +66,6 @@ class PlanLevelModel {
   PlanModelConfig config_;
   std::string structural_key_;
   std::unique_ptr<RegressionModel> model_;
-  double cv_error_ = 1e300;
 };
 
 }  // namespace qpp

@@ -1,5 +1,7 @@
 #include "qpp/predictor.h"
 
+#include <limits>
+#include <optional>
 #include <sstream>
 
 #include "common/bundle.h"
@@ -18,100 +20,76 @@ const char* PredictionMethodName(PredictionMethod m) {
   return "?";
 }
 
-QueryPerformancePredictor::QueryPerformancePredictor(
-    QueryPerformancePredictor&& other) noexcept
-    : config_(std::move(other.config_)),
-      trained_(other.trained_),
-      training_log_(std::move(other.training_log_)),
-      training_refs_(std::move(other.training_refs_)),
-      hybrid_(std::move(other.hybrid_)),
-      global_plan_model_(std::move(other.global_plan_model_)),
-      cost_baseline_(std::move(other.cost_baseline_)),
-      online_(std::move(other.online_)) {
-  other.trained_ = false;
-  if (online_ != nullptr) online_->set_op_models(&hybrid_.operator_models());
-}
-
-QueryPerformancePredictor& QueryPerformancePredictor::operator=(
-    QueryPerformancePredictor&& other) noexcept {
-  if (this == &other) return *this;
-  config_ = std::move(other.config_);
-  trained_ = other.trained_;
-  other.trained_ = false;
-  training_log_ = std::move(other.training_log_);
-  training_refs_ = std::move(other.training_refs_);
-  hybrid_ = std::move(other.hybrid_);
-  global_plan_model_ = std::move(other.global_plan_model_);
-  cost_baseline_ = std::move(other.cost_baseline_);
-  online_ = std::move(other.online_);
-  if (online_ != nullptr) online_->set_op_models(&hybrid_.operator_models());
-  return *this;
-}
-
 Status QueryPerformancePredictor::Train(const QueryLog& log) {
   if (log.queries.empty()) {
     return Status::InvalidArgument("empty training log");
   }
-  training_log_ = log;
-  training_refs_.clear();
-  training_refs_.reserve(training_log_.queries.size());
-  for (const QueryRecord& q : training_log_.queries) {
-    training_refs_.push_back(&q);
-  }
+  std::vector<const QueryRecord*> refs;
+  refs.reserve(log.queries.size());
+  for (const QueryRecord& q : log.queries) refs.push_back(&q);
 
+  // Each method trains a local model and takes it only on success.
   switch (config_.method) {
     case PredictionMethod::kOptimizerCost: {
       FeatureMatrix x;
       std::vector<double> y;
-      for (const QueryRecord* q : training_refs_) {
+      for (const QueryRecord* q : refs) {
         x.push_back({q->root().est.total_cost});
         y.push_back(q->latency_ms);
       }
-      cost_baseline_ = std::make_unique<LinearRegression>();
-      QPP_RETURN_NOT_OK(cost_baseline_->Fit(x, y));
-      break;
+      auto model = std::make_unique<LinearRegression>();
+      QPP_RETURN_NOT_OK(model->Fit(x, y));
+      cost_baseline_ = std::move(model);
+      return Status::OK();
     }
     case PredictionMethod::kPlanLevel: {
       PlanModelConfig cfg;
       cfg.feature_mode = config_.feature_mode;
-      global_plan_model_ = PlanLevelModel(cfg);
+      PlanLevelModel model(cfg);
       std::vector<PlanOccurrence> occurrences;
-      for (const QueryRecord* q : training_refs_) {
-        occurrences.push_back({q, 0});
-      }
-      QPP_RETURN_NOT_OK(global_plan_model_.Train(occurrences));
-      break;
+      for (const QueryRecord* q : refs) occurrences.push_back({q, 0});
+      QPP_RETURN_NOT_OK(model.Train(occurrences));
+      global_plan_model_ = std::move(model);
+      return Status::OK();
     }
-    case PredictionMethod::kOperatorLevel: {
-      HybridConfig cfg = config_.hybrid;
-      cfg.max_iterations = 0;  // pure operator composition, no plan models
-      hybrid_ = HybridModel(cfg);
-      QPP_RETURN_NOT_OK(hybrid_.Train(training_refs_));
-      break;
-    }
+    case PredictionMethod::kOperatorLevel:
     case PredictionMethod::kHybrid: {
-      hybrid_ = HybridModel(config_.hybrid);
-      QPP_RETURN_NOT_OK(hybrid_.Train(training_refs_));
-      break;
+      HybridConfig cfg = config_.hybrid;
+      if (config_.method == PredictionMethod::kOperatorLevel) {
+        cfg.max_iterations = 0;  // pure operator composition, no plan models
+      }
+      auto model = std::make_unique<HybridModel>(cfg);
+      QPP_RETURN_NOT_OK(model->Train(refs));
+      hybrid_ = std::move(model);
+      return Status::OK();
     }
     case PredictionMethod::kOnline: {
       HybridConfig cfg = config_.hybrid;
       cfg.max_iterations = 0;  // operator models only; plan models online
-      hybrid_ = HybridModel(cfg);
-      QPP_RETURN_NOT_OK(hybrid_.Train(training_refs_));
+      HybridModel operators(cfg);
+      QPP_RETURN_NOT_OK(operators.Train(refs));
       online_ = std::make_unique<OnlinePredictor>(
-          training_refs_, &hybrid_.operator_models(),
-          config_.hybrid.min_occurrences);
-      break;
+          log, std::move(operators), config_.hybrid.min_occurrences);
+      return Status::OK();
     }
   }
-  trained_ = true;
-  return Status::OK();
+  return Status::Internal("unreachable");
+}
+
+bool QueryPerformancePredictor::trained() const {
+  switch (config_.method) {
+    case PredictionMethod::kOptimizerCost: return cost_baseline_ != nullptr;
+    case PredictionMethod::kPlanLevel: return global_plan_model_.trained();
+    case PredictionMethod::kOperatorLevel:
+    case PredictionMethod::kHybrid: return hybrid_ != nullptr;
+    case PredictionMethod::kOnline: return online_ != nullptr;
+  }
+  return false;
 }
 
 Result<double> QueryPerformancePredictor::PredictLatencyMs(
     const QueryRecord& query) const {
-  if (!trained_) return Status::InvalidArgument("predictor not trained");
+  if (!trained()) return Status::InvalidArgument("predictor not trained");
   if (query.ops.empty()) return Status::InvalidArgument("empty query record");
   switch (config_.method) {
     case PredictionMethod::kOptimizerCost:
@@ -120,7 +98,7 @@ Result<double> QueryPerformancePredictor::PredictLatencyMs(
       return global_plan_model_.Predict(query, 0, config_.feature_mode);
     case PredictionMethod::kOperatorLevel:
     case PredictionMethod::kHybrid:
-      return hybrid_.PredictQuery(query, config_.feature_mode);
+      return hybrid_->PredictQuery(query, config_.feature_mode);
     case PredictionMethod::kOnline:
       return online_->PredictQuery(query, config_.feature_mode);
   }
@@ -128,7 +106,7 @@ Result<double> QueryPerformancePredictor::PredictLatencyMs(
 }
 
 Result<std::string> QueryPerformancePredictor::SerializeModels() const {
-  if (!trained_) return Status::InvalidArgument("predictor not trained");
+  if (!trained()) return Status::InvalidArgument("predictor not trained");
   std::ostringstream out;
   out << "qpp models v3\n";
   out << "method " << static_cast<int>(config_.method) << "\n";
@@ -142,15 +120,17 @@ Result<std::string> QueryPerformancePredictor::SerializeModels() const {
       break;
     case PredictionMethod::kOperatorLevel:
     case PredictionMethod::kHybrid:
-      out << hybrid_.Serialize();
+      out << hybrid_->Serialize();
       break;
     case PredictionMethod::kOnline:
-      // Operator models plus the training corpus: the online sub-plan model
-      // cache is rebuilt deterministically (seeded training) on demand, so
-      // a reloaded predictor gives bitwise-identical predictions.
-      out << hybrid_.Serialize();
+      // Operator models plus everything the sub-plan models are built from:
+      // the online model cache is rebuilt deterministically (seeded
+      // training) on demand, so a reloaded predictor gives bitwise-identical
+      // predictions.
+      out << "min_occurrences " << online_->min_occurrences() << "\n";
+      out << online_->operators().Serialize();
       out << "=== log\n";
-      training_log_.WriteTo(out);
+      online_->training().WriteTo(out);
       out << "=== endlog\n";
       break;
   }
@@ -179,26 +159,34 @@ Status QueryPerformancePredictor::LoadModelsFromText(
     return Status::IOError(source_name + ": unknown prediction method " +
                            line.substr(7));
   }
-  config_.method = static_cast<PredictionMethod>(method);
-  trained_ = false;
-  online_.reset();
-  cost_baseline_.reset();
-  hybrid_ = HybridModel(config_.hybrid);
-  bool have_log = false;
+  // Parsed into a fresh predictor, which replaces this one once complete.
+  QueryPerformancePredictor loaded;
+  loaded.config_.method = static_cast<PredictionMethod>(method);
+  std::optional<HybridModel> hybrid;
+  std::optional<QueryLog> log;
   while (std::getline(in, line)) {
     if (line.rfind("feature_mode ", 0) == 0) {
-      QPP_ASSIGN_OR_RETURN(config_.feature_mode,
+      QPP_ASSIGN_OR_RETURN(loaded.config_.feature_mode,
                            ParseFeatureMode(line.substr(13)));
+    } else if (line.rfind("min_occurrences ", 0) == 0) {
+      QPP_ASSIGN_OR_RETURN(const uint64_t min_occurrences,
+                           ParseU64(line.substr(16), "min_occurrences"));
+      if (min_occurrences >
+          static_cast<uint64_t>(std::numeric_limits<int>::max())) {
+        return Status::IOError(source_name + ": min_occurrences " +
+                               line.substr(16) + " out of range");
+      }
+      loaded.config_.hybrid.min_occurrences = static_cast<int>(min_occurrences);
     } else if (line.rfind("costmodel ", 0) == 0) {
-      QPP_ASSIGN_OR_RETURN(cost_baseline_, DeserializeModel(line.substr(10)));
+      QPP_ASSIGN_OR_RETURN(loaded.cost_baseline_,
+                           DeserializeModel(line.substr(10)));
     } else if (line == "hybridmodel v1") {
       std::string payload = line + "\n";
       while (std::getline(in, line)) {
         payload += line + "\n";
         if (line == "=== endhybrid") break;
       }
-      QPP_ASSIGN_OR_RETURN(hybrid_,
-                           HybridModel::Deserialize(payload, config_.hybrid));
+      QPP_ASSIGN_OR_RETURN(hybrid, HybridModel::Deserialize(payload));
     } else if (line == "=== log") {
       std::string payload;
       while (std::getline(in, line) && line != "=== endlog") {
@@ -206,58 +194,53 @@ Status QueryPerformancePredictor::LoadModelsFromText(
       }
       std::istringstream log_in(payload);
       QPP_ASSIGN_OR_RETURN(
-          training_log_,
-          QueryLog::LoadFromStream(log_in, source_name + " (embedded log)"));
-      have_log = true;
+          log, QueryLog::LoadFromStream(log_in, source_name + " (embedded log)"));
     } else if (line == "=== plan") {
       // The kPlanLevel global model.
       std::string payload;
       while (std::getline(in, line) && line != "=== end") {
         payload += line + "\n";
       }
-      QPP_ASSIGN_OR_RETURN(global_plan_model_,
+      QPP_ASSIGN_OR_RETURN(loaded.global_plan_model_,
                            PlanLevelModel::Deserialize(payload));
     }
   }
-  switch (config_.method) {
+  switch (loaded.config_.method) {
     case PredictionMethod::kOptimizerCost:
-      if (cost_baseline_ == nullptr) {
+      if (loaded.cost_baseline_ == nullptr) {
         return Status::IOError(source_name + ": missing costmodel line");
       }
       break;
     case PredictionMethod::kPlanLevel:
-      if (!global_plan_model_.trained()) {
+      if (!loaded.global_plan_model_.trained()) {
         return Status::IOError(source_name + ": missing plan model section");
       }
       break;
     case PredictionMethod::kOperatorLevel:
     case PredictionMethod::kHybrid:
-      if (!hybrid_.operator_models().trained()) {
+      if (!hybrid.has_value()) {
         return Status::IOError(source_name +
                                ": missing operator model section");
       }
+      loaded.hybrid_ = std::make_unique<HybridModel>(std::move(*hybrid));
       break;
-    case PredictionMethod::kOnline: {
-      if (!hybrid_.operator_models().trained()) {
+    case PredictionMethod::kOnline:
+      if (!hybrid.has_value()) {
         return Status::IOError(source_name +
                                ": missing operator model section");
       }
-      if (!have_log || training_log_.queries.empty()) {
+      if (!log.has_value() || log->queries.empty()) {
         return Status::IOError(source_name +
                                ": online method needs an embedded log");
       }
-      training_refs_.clear();
-      training_refs_.reserve(training_log_.queries.size());
-      for (const QueryRecord& q : training_log_.queries) {
-        training_refs_.push_back(&q);
-      }
-      online_ = std::make_unique<OnlinePredictor>(
-          training_refs_, &hybrid_.operator_models(),
-          config_.hybrid.min_occurrences);
+      // A payload without a min_occurrences line (written before the line
+      // existed) gets the default, HybridConfig's.
+      loaded.online_ = std::make_unique<OnlinePredictor>(
+          std::move(*log), std::move(*hybrid),
+          loaded.config_.hybrid.min_occurrences);
       break;
-    }
   }
-  trained_ = true;
+  *this = std::move(loaded);
   return Status::OK();
 }
 

@@ -49,26 +49,17 @@ struct PredictorConfig {
 /// PredictLatencyMs is const and safe to call from multiple threads on a
 /// predictor that is no longer being mutated (Train/LoadModelsFromText
 /// complete); the serving layer (serve/registry.h) relies on exactly this
-/// to share immutable predictor snapshots across request threads.
+/// to share immutable predictor snapshots across request threads. The
+/// predictor is movable, not copyable.
 class QueryPerformancePredictor {
  public:
   QueryPerformancePredictor() = default;
   explicit QueryPerformancePredictor(PredictorConfig config)
       : config_(config) {}
 
-  /// Movable, not copyable. The move is member-wise except that the online
-  /// builder's pointer to the (by-value) operator-model set is re-pointed at
-  /// the destination; pointers into the training log survive the move of
-  /// the vector's heap buffer as-is.
-  QueryPerformancePredictor(QueryPerformancePredictor&& other) noexcept;
-  QueryPerformancePredictor& operator=(
-      QueryPerformancePredictor&& other) noexcept;
-  QueryPerformancePredictor(const QueryPerformancePredictor&) = delete;
-  QueryPerformancePredictor& operator=(const QueryPerformancePredictor&) =
-      delete;
-
-  /// Trains the configured model stack. The log is copied; the predictor is
-  /// self-contained afterwards.
+  /// Trains the configured model stack; the predictor is self-contained
+  /// afterwards. Only kOnline keeps the log: its OnlinePredictor owns a
+  /// copy, from which sub-plan models are built on demand.
   Status Train(const QueryLog& log);
 
   /// Predicted execution latency in ms for a query described by its
@@ -76,35 +67,38 @@ class QueryPerformancePredictor {
   /// kEstimate mode).
   Result<double> PredictLatencyMs(const QueryRecord& query) const;
 
-  bool trained() const { return trained_; }
+  /// True when the configured method has its model (after Train or
+  /// LoadModelsFromText). A moved-from predictor has none, so it refuses to
+  /// predict.
+  bool trained() const;
   const PredictorConfig& config() const { return config_; }
 
-  /// Underlying hybrid stack (operator + plan models), for inspection.
-  const HybridModel& hybrid() const { return hybrid_; }
+  /// The kOperatorLevel or kHybrid stack (operator + plan models), for
+  /// inspection; null for the other methods and before training.
+  const HybridModel* hybrid() const { return hybrid_.get(); }
 
   /// Serializes the materialized models to text, the payload of the
   /// checksummed bundle serve::SaveModelBundle writes (paper Sec. 3's
   /// materialization). Every method is supported; kOnline persists its
-  /// operator models plus the training log, from which sub-plan models are
-  /// rebuilt deterministically on demand after loading.
+  /// operator models, its min_occurrences and the training log, from which
+  /// sub-plan models are rebuilt deterministically on demand after loading.
   Result<std::string> SerializeModels() const;
 
-  /// Restores models from SerializeModels() output. `source_name` labels
-  /// parse errors (a file path, "<memory>", ...). A malformed payload is an
-  /// error, never an exception.
+  /// Replaces this predictor by the one SerializeModels() wrote: method,
+  /// feature mode and models all come from the payload, never from this
+  /// predictor's config. `source_name` labels parse errors (a file path,
+  /// "<memory>", ...). A malformed payload is an error, never an exception,
+  /// and leaves this predictor as it was.
   Status LoadModelsFromText(const std::string& text,
                             const std::string& source_name = "<memory>");
 
  private:
   PredictorConfig config_;
-  bool trained_ = false;
-  QueryLog training_log_;
-  std::vector<const QueryRecord*> training_refs_;
-  HybridModel hybrid_;
-  PlanLevelModel global_plan_model_;
-  /// Linear model on the optimizer's cost estimate (kOptimizerCost).
-  std::unique_ptr<RegressionModel> cost_baseline_;
-  std::unique_ptr<OnlinePredictor> online_;
+  /// The configured method's model: only that member is set.
+  std::unique_ptr<RegressionModel> cost_baseline_;  // kOptimizerCost
+  PlanLevelModel global_plan_model_;                // kPlanLevel
+  std::unique_ptr<HybridModel> hybrid_;             // kOperatorLevel, kHybrid
+  std::unique_ptr<OnlinePredictor> online_;         // kOnline
 };
 
 }  // namespace qpp

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "common/stats.h"
+#include "common/thread_pool.h"
 #include "obs/metrics.h"
 
 namespace qpp::serve {
@@ -38,11 +39,8 @@ obs::Histogram* RetrainMsHistogram() {
 
 }  // namespace
 
-FeedbackLoop::FeedbackLoop(ModelRegistry* registry, FeedbackConfig config,
-                           ThreadPool* pool)
-    : registry_(registry),
-      pool_(pool != nullptr ? pool : ThreadPool::Global()),
-      config_(std::move(config)) {}
+FeedbackLoop::FeedbackLoop(ModelRegistry* registry, FeedbackConfig config)
+    : registry_(registry), config_(std::move(config)) {}
 
 FeedbackLoop::~FeedbackLoop() { WaitForRetrain(); }
 
@@ -100,7 +98,7 @@ Status FeedbackLoop::Observe(const QueryRecord& executed) {
     retrain_corpus = MaybeBeginRetrainLocked();
   }
   if (retrain_corpus.has_value()) {
-    auto future = pool_->Submit(
+    auto future = ThreadPool::Global()->Submit(
         [this, corpus = std::move(*retrain_corpus)]() mutable {
           return RetrainAndPublish(std::move(corpus));
         });

@@ -9,7 +9,6 @@
 #include <string>
 
 #include "common/ordered_mutex.h"
-#include "common/thread_pool.h"
 #include "serve/registry.h"
 
 namespace qpp::serve {
@@ -50,10 +49,8 @@ struct FeedbackConfig {
 /// keep their snapshots, later requests see the new version.
 class FeedbackLoop {
  public:
-  /// `registry` and `pool` must outlive the loop; null pool means
-  /// ThreadPool::Global().
-  FeedbackLoop(ModelRegistry* registry, FeedbackConfig config,
-               ThreadPool* pool = nullptr);
+  /// `registry` must outlive the loop. Retrains run on ThreadPool::Global().
+  FeedbackLoop(ModelRegistry* registry, FeedbackConfig config);
   /// Blocks until any in-flight retrain has finished.
   ~FeedbackLoop();
 
@@ -95,7 +92,6 @@ class FeedbackLoop {
   Status RetrainAndPublish(QueryLog corpus);
 
   ModelRegistry* registry_;
-  ThreadPool* pool_;
   FeedbackConfig config_;
 
   mutable OrderedMutex mu_;

@@ -17,11 +17,10 @@ Status SaveModelBundle(const QueryPerformancePredictor& predictor,
       {{"method", PredictionMethodName(predictor.config().method)}});
 }
 
-Result<QueryPerformancePredictor> LoadModelBundle(const std::string& path,
-                                                  PredictorConfig base_config) {
+Result<QueryPerformancePredictor> LoadModelBundle(const std::string& path) {
   QPP_ASSIGN_OR_RETURN(const std::string payload,
                        ReadBundlePayload(path, kModelFormat, {"method"}));
-  QueryPerformancePredictor predictor(base_config);
+  QueryPerformancePredictor predictor;
   QPP_RETURN_NOT_OK(predictor.LoadModelsFromText(payload, path));
   return predictor;
 }

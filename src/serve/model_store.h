@@ -37,10 +37,9 @@ Status SaveModelBundle(const QueryPerformancePredictor& predictor,
                        const std::string& path);
 
 /// Reads back a bundle header + payload, verifies the checksum, and
-/// restores a predictor. `base_config` supplies the non-persisted training
-/// hyperparameters (the persisted method and feature mode override it).
-Result<QueryPerformancePredictor> LoadModelBundle(
-    const std::string& path, PredictorConfig base_config = PredictorConfig{});
+/// restores a predictor. The bundle alone decides its predictions: method,
+/// feature mode and every model setting they read come from the payload.
+Result<QueryPerformancePredictor> LoadModelBundle(const std::string& path);
 
 /// Reads just the bundle header (cheap; no model parsing or checksum work).
 Result<ModelBundleInfo> ReadModelBundleInfo(const std::string& path);

@@ -181,11 +181,18 @@ TEST(DeterminismTest, SharedOnlinePredictorMatchesSerialAndBuildsEachKeyOnce) {
   const QueryLog queries = SyntheticServingLog(30, 1.0, 777);
   std::vector<const QueryRecord*> refs;
   for (const QueryRecord& q : training.queries) refs.push_back(&q);
-  OperatorModelSet op_models;
-  ASSERT_TRUE(op_models.Train(refs).ok());
+  // Each predictor owns its operator stack; training is deterministic, so
+  // both get the same one.
+  const auto operators = [&refs] {
+    HybridConfig cfg;
+    cfg.max_iterations = 0;
+    HybridModel model(cfg);
+    EXPECT_TRUE(model.Train(refs).ok());
+    return model;
+  };
 
   const size_t n = queries.queries.size();
-  const OnlinePredictor serial(refs, &op_models);
+  const OnlinePredictor serial(training, operators());
   std::vector<double> expected(n);
   for (size_t i = 0; i < n; ++i) {
     expected[i] =
@@ -194,7 +201,7 @@ TEST(DeterminismTest, SharedOnlinePredictorMatchesSerialAndBuildsEachKeyOnce) {
   ASSERT_GT(serial.models_built(), 0);
 
   constexpr size_t kThreads = 4;
-  const OnlinePredictor shared(refs, &op_models);
+  const OnlinePredictor shared(training, operators());
   std::vector<std::vector<double>> got(kThreads, std::vector<double>(n));
   std::vector<std::thread> threads;
   for (size_t t = 0; t < kThreads; ++t) {

@@ -545,8 +545,8 @@ TEST_F(NetServerTest, OnlineBundleServesUnseenPlansBitIdentically) {
   ASSERT_TRUE(trained.Train(SyntheticServingLog(60)).ok());
   const std::string path = ::testing::TempDir() + "/net_online.qppb";
   ASSERT_TRUE(serve::SaveModelBundle(trained, path).ok());
-  auto served = serve::LoadModelBundle(path, cfg);
-  auto local = serve::LoadModelBundle(path, cfg);
+  auto served = serve::LoadModelBundle(path);
+  auto local = serve::LoadModelBundle(path);
   std::remove(path.c_str());
   ASSERT_TRUE(served.ok()) << served.status().ToString();
   ASSERT_TRUE(local.ok()) << local.status().ToString();

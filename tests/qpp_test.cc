@@ -282,9 +282,11 @@ INSTANTIATE_TEST_SUITE_P(Strategies, StrategyTest,
 // ---------------------------------- Online ----------------------------------
 
 TEST_F(QppTest, OnlinePredictorBuildsAndCachesModels) {
-  OperatorModelSet op_models;
-  ASSERT_TRUE(op_models.Train(*refs_).ok());
-  OnlinePredictor online(*refs_, &op_models, /*min_occurrences=*/6);
+  HybridConfig cfg;
+  cfg.max_iterations = 0;
+  HybridModel operators(cfg);
+  ASSERT_TRUE(operators.Train(*refs_).ok());
+  OnlinePredictor online(*log_, std::move(operators), /*min_occurrences=*/6);
   const QueryRecord& q = log_->queries.front();
   const double p1 = online.PredictQuery(q, FeatureMode::kEstimate);
   const int built = online.models_built();
@@ -331,6 +333,33 @@ TEST_F(QppTest, PredictorRequiresTraining) {
   EXPECT_FALSE(predictor.Train(QueryLog{}).ok());
 }
 
+// A predictor's models move with it: the destination predicts as the source
+// did, and the moved-from predictor refuses to predict.
+TEST_P(MethodTest, MovedFromPredictorRefusesToPredict) {
+  PredictorConfig cfg;
+  cfg.method = GetParam();
+  cfg.hybrid.max_iterations = 4;
+  cfg.hybrid.min_occurrences = 6;
+  QueryPerformancePredictor source(cfg);
+  ASSERT_TRUE(source.Train(*log_).ok());
+  const QueryRecord& q = log_->queries.front();
+  const Result<double> before = source.PredictLatencyMs(q);
+  ASSERT_TRUE(before.ok()) << before.status().ToString();
+
+  QueryPerformancePredictor moved(std::move(source));
+  const Result<double> after = moved.PredictLatencyMs(q);
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  EXPECT_EQ(*after, *before);
+  // NOLINTNEXTLINE(bugprone-use-after-move): the moved-from state is tested.
+  EXPECT_FALSE(source.PredictLatencyMs(q).ok());
+
+  QueryPerformancePredictor assigned;
+  assigned = std::move(moved);
+  EXPECT_EQ(*assigned.PredictLatencyMs(q), *before);
+  // NOLINTNEXTLINE(bugprone-use-after-move): the moved-from state is tested.
+  EXPECT_FALSE(moved.PredictLatencyMs(q).ok());
+}
+
 TEST_F(QppTest, PredictorModelMaterializationRoundTrip) {
   PredictorConfig cfg;
   cfg.method = PredictionMethod::kHybrid;
@@ -374,9 +403,11 @@ TEST_F(QppTest, MalformedModelPayloadNumbersAreErrors) {
   };
   const std::string ops = serialized(PredictionMethod::kOperatorLevel);
   const std::string plan = serialized(PredictionMethod::kPlanLevel);
+  const std::string online = serialized(PredictionMethod::kOnline);
   QueryPerformancePredictor ok;
   ASSERT_TRUE(ok.LoadModelsFromText(ops).ok());
   ASSERT_TRUE(ok.LoadModelsFromText(plan).ok());
+  ASSERT_TRUE(ok.LoadModelsFromText(online).ok());
   const std::vector<std::pair<const std::string*, std::string>> cases = {
       {&ops, "method x"},
       {&ops, "method 9"},
@@ -389,9 +420,11 @@ TEST_F(QppTest, MalformedModelPayloadNumbersAreErrors) {
       {&ops, "run_model linreg|0|abc|0"},
       {&ops, "start_model linreg|1e-06|0.5|2|1|2"},
       {&ops, "run_model linreg|1e-06|0.5|8|1|2|3|4|5|6|7|8"},
-      {&plan, "cv_error NaNa"},
       {&plan, "model svr|0|1|0.1|1|0|1|9223372036854775808|2|0|0"},
       {&plan, "model svr|0|1|0.1|1|0|1|2|1|0|0|1|1|0.5|0.2|0.3"},
+      {&online, "min_occurrences 6x"},
+      {&online, "min_occurrences -1"},
+      {&online, "min_occurrences 2147483648"},
   };
   for (const auto& [text, line] : cases) {
     const std::string prefix = line.substr(0, line.find(' ') + 1);
@@ -426,6 +459,17 @@ TEST_F(QppTest, OnlineModelsMaterializeViaEmbeddedLog) {
     ASSERT_TRUE(a.ok() && b.ok());
     EXPECT_EQ(*a, *b);
   }
+
+  // A payload written before it carried min_occurrences gets the default.
+  std::string legacy_text = *text;
+  const std::string line = "\nmin_occurrences 6\n";
+  const size_t at = legacy_text.find(line);
+  ASSERT_NE(at, std::string::npos);
+  legacy_text.erase(at + 1, line.size() - 1);
+  QueryPerformancePredictor legacy;
+  ASSERT_TRUE(legacy.LoadModelsFromText(legacy_text).ok());
+  EXPECT_EQ(legacy.config().hybrid.min_occurrences,
+            HybridConfig{}.min_occurrences);
 }
 
 }  // namespace

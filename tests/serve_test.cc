@@ -68,7 +68,7 @@ TEST_P(BundleMethodTest, SaveLoadRoundTripIsBitwiseIdentical) {
   const std::string path = ::testing::TempDir() + "/bundle_" +
                            PredictionMethodName(GetParam()) + ".qppb";
   ASSERT_TRUE(serve::SaveModelBundle(predictor, path).ok());
-  auto loaded = serve::LoadModelBundle(path, cfg);
+  auto loaded = serve::LoadModelBundle(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   ASSERT_TRUE(loaded->trained());
   EXPECT_EQ(loaded->config().method, GetParam());
@@ -94,6 +94,35 @@ INSTANTIATE_TEST_SUITE_P(Methods, BundleMethodTest,
                                            PredictionMethod::kOperatorLevel,
                                            PredictionMethod::kHybrid,
                                            PredictionMethod::kOnline));
+
+// A kOnline bundle carries the min_occurrences that gates its sub-plan
+// models, so it loads without a config: trained at 6, not the default 10,
+// the loaded predictor still predicts bit for bit as the trained one.
+TEST(ModelStoreTest, OnlineBundleCarriesItsMinOccurrences) {
+  const QueryLog log = SyntheticLog(27);
+  QueryPerformancePredictor predictor(QuickConfig(PredictionMethod::kOnline));
+  ASSERT_TRUE(predictor.Train(log).ok());
+  const std::string path = ::testing::TempDir() + "/bundle_online_min.qppb";
+  ASSERT_TRUE(serve::SaveModelBundle(predictor, path).ok());
+  auto loaded = serve::LoadModelBundle(path);
+  std::remove(path.c_str());
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded->config().hybrid.min_occurrences, 6);
+
+  const QueryLog unseen = SyntheticLog(30, 1.0, 777);
+  size_t probes = 0;
+  size_t differ = 0;
+  for (const QueryLog* probe : {&log, &unseen}) {
+    for (const QueryRecord& q : probe->queries) {
+      auto a = predictor.PredictLatencyMs(q);
+      auto b = loaded->PredictLatencyMs(q);
+      ASSERT_TRUE(a.ok() && b.ok());
+      ++probes;
+      if (*a != *b) ++differ;
+    }
+  }
+  EXPECT_EQ(differ, 0u) << differ << " of " << probes << " predictions differ";
+}
 
 TEST(ModelStoreTest, HeaderIsReadableWithoutParsingModels) {
   QueryPerformancePredictor predictor(QuickConfig(PredictionMethod::kHybrid));
@@ -161,8 +190,7 @@ TEST(ModelStoreTest, GoldenBundleStillLoadsAndPredicts) {
     GTEST_SKIP() << "regenerated golden bundle at " << bundle_path;
   }
 
-  auto loaded = serve::LoadModelBundle(
-      bundle_path, QuickConfig(PredictionMethod::kHybrid));
+  auto loaded = serve::LoadModelBundle(bundle_path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   // The writer is pinned too: re-saving reproduces the committed bytes.
   const std::string resaved = ::testing::TempDir() + "/golden_resaved.qppb";
