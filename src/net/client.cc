@@ -338,13 +338,10 @@ Result<LoadGenReport> RunLoadGenerator(const std::string& host, uint16_t port,
         };
         std::vector<const QueryRecord*> chunk;
         while (received < options.requests_per_connection) {
-          while (sent < options.requests_per_connection &&
-                 sent - received < options.window) {
-            const int room =
-                std::min(options.requests_per_connection - sent,
-                         options.window - (sent - received));
-            const int take = std::min(options.batch, room);
-            if (take <= 1) {
+          while (sent < options.requests_per_connection) {
+            const int room = options.window - (sent - received);
+            if (options.batch == 1) {
+              if (room < 1) break;
               const QueryRecord& record = workload.queries[next];
               next = (next + 1) % workload.queries.size();
               sent_at.push_back(Clock::now());
@@ -356,6 +353,12 @@ Result<LoadGenReport> RunLoadGenerator(const std::string& host, uint16_t port,
               ++sent;
               continue;
             }
+            // Send only whole batches: wait for replies until one fits, so
+            // the window never refills one request at a time.
+            const int take =
+                std::min({options.batch, options.window,
+                          options.requests_per_connection - sent});
+            if (take > room) break;
             chunk.clear();
             for (int k = 0; k < take; ++k) {
               chunk.push_back(&workload.queries[next]);

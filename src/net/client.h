@@ -101,9 +101,9 @@ struct LoadGenOptions {
   int requests_per_connection = 100;
   /// Max unacknowledged requests per connection before reading a reply.
   int window = 16;
-  /// Requests per send: 1 sends classic v1 frames; > 1 aggregates up to
-  /// this many requests into one v2 container per SendBatch (capped by the
-  /// window).
+  /// Requests per send: 1 sends classic v1 frames; > 1 sends whole batches
+  /// of min(batch, window, requests left) as v2 containers through
+  /// SendBatch, each once it fits in the window.
   int batch = 1;
   uint32_t deadline_us = 0;
 };

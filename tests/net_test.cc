@@ -1312,6 +1312,28 @@ TEST_F(NetServerTest, V1AndV2RequestsInterleaveOnOneConnection) {
 
 // ------------------------- batched load + drain ------------------------------
 
+/// Installs client IO hooks for one scope (they are process-wide).
+struct ScopedIoHooks {
+  explicit ScopedIoHooks(net::ClientIoHooks hooks) {
+    net::SetClientIoHooksForTest(hooks);
+  }
+  ~ScopedIoHooks() { net::SetClientIoHooksForTest({}); }
+};
+
+/// Client writes by kind: `send` carries one frame, `sendmsg` a batch.
+std::atomic<int> g_single_sends{0};
+std::atomic<int> g_batch_sends{0};
+
+ssize_t CountingSend(int fd, const void* buf, size_t len, int flags) {
+  g_single_sends.fetch_add(1, std::memory_order_relaxed);
+  return ::send(fd, buf, len, flags);
+}
+
+ssize_t CountingSendmsg(int fd, const msghdr* msg, int flags) {
+  g_batch_sends.fetch_add(1, std::memory_order_relaxed);
+  return ::sendmsg(fd, msg, flags);
+}
+
 TEST_F(NetServerTest, ServesBatchedLoadAcrossConnections) {
   ServerConfig config;
   config.max_batch = 8;
@@ -1323,12 +1345,20 @@ TEST_F(NetServerTest, ServesBatchedLoadAcrossConnections) {
   options.requests_per_connection = 50;
   options.window = 16;
   options.batch = 8;  // v2 container path
+  g_single_sends = 0;
+  g_batch_sends = 0;
+  ScopedIoHooks hooks({CountingSend, CountingSendmsg, nullptr});
   auto report =
       net::RunLoadGenerator("127.0.0.1", server_->port(), workload_, options);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_EQ(report->sent, 200u);
   EXPECT_EQ(report->ok, 200u);
   EXPECT_EQ(report->overloaded, 0u);
+  // Every send is a whole batch, not only the ones that fill the first
+  // window: 50 requests per connection in batches of at most 8 take at
+  // least 7 writes each, and no request goes out alone through Send.
+  EXPECT_EQ(g_single_sends.load(), 0);
+  EXPECT_GE(g_batch_sends.load(), 4 * 7);
 
   const net::ServerStats stats = server_->Stats();
   EXPECT_EQ(stats.requests_received, 200u);
@@ -1459,13 +1489,6 @@ ssize_t ShortSendmsg(int fd, const msghdr* msg, int flags) {
 ssize_t ShortRecv(int fd, void* buf, size_t len, int flags) {
   return ::recv(fd, buf, std::min<size_t>(len, 2), flags);
 }
-
-struct ScopedIoHooks {
-  explicit ScopedIoHooks(net::ClientIoHooks hooks) {
-    net::SetClientIoHooksForTest(hooks);
-  }
-  ~ScopedIoHooks() { net::SetClientIoHooksForTest({}); }
-};
 
 TEST_F(NetServerTest, ClientSurvivesShortWritesAndEintr) {
   StartServer(ServerConfig{});
