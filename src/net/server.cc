@@ -569,20 +569,16 @@ void PredictionServer::DispatchBatch() {
     queries.push_back(std::move(batch_[i].record));
   }
   if (!live.empty()) {
-    // One snapshot, predicted serially on this thread.
+    // One snapshot, predicted serially on this thread. A failed batch (no
+    // model published yet) answers each of its requests with that failure.
     auto predictions = service_->PredictBatch(queries);
     for (size_t j = 0; j < live.size(); ++j) {
       const Pending& p = batch_[live[j]];
-      if (predictions.ok()) {
-        replies.push_back(MakeResponse(p, (*predictions)[j]));
-        continue;
-      }
-      // Wholesale batch failure (e.g. no model yet): retry per element so
-      // every request gets its own typed verdict.
-      auto one = service_->Predict(queries[j]);
-      replies.push_back(one.ok() ? MakeResponse(p, *one)
-                                 : MakeError(p, CodeFromStatus(one.status()),
-                                             one.status().message()));
+      replies.push_back(
+          predictions.ok()
+              ? MakeResponse(p, (*predictions)[j])
+              : MakeError(p, CodeFromStatus(predictions.status()),
+                          predictions.status().message()));
     }
   }
   const auto finished = Clock::now();

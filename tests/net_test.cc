@@ -649,6 +649,21 @@ TEST_F(NetServerTest, NoPublishedModelYieldsTypedNoModelError) {
   ASSERT_TRUE(reply.ok()) << reply.status().ToString();
   EXPECT_EQ(reply->error, ErrorCode::kNoModel);
   EXPECT_NE(reply->error_message.find("no model"), std::string::npos);
+
+  // Pipelined requests share a batch; each gets the batch's typed error.
+  constexpr uint64_t kPipelined = 6;
+  for (uint64_t i = 0; i < kPipelined; ++i) {
+    ASSERT_TRUE(client.Send(workload_.queries[i]).ok());
+  }
+  for (uint64_t i = 0; i < kPipelined; ++i) {
+    auto r = client.Receive();
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_EQ(r->error, ErrorCode::kNoModel) << r->error_message;
+  }
+  // The service counts each request and its error once.
+  const serve::ServiceStats served = service_->Snapshot();
+  EXPECT_EQ(served.requests, kPipelined + 1);
+  EXPECT_EQ(served.errors, kPipelined + 1);
 }
 
 TEST_F(NetServerTest, PerConnectionOverloadShedsTypedErrors) {
