@@ -7,7 +7,7 @@
 //
 // The server predicts every batch on its reactor thread, so each scenario
 // is bounded by one core's decode + predict + encode rate: prediction no
-// longer overlaps decoding on other cores, which caps the v2 container
+// longer overlaps decoding on other cores, which caps the batched-client
 // scenarios (BM_NetServingBatchedClient) below what a pool hop reached.
 // On a single-core container the absolute numbers mostly measure scheduler
 // churn; the interesting signal is the batching-on/off delta (dispatch
@@ -102,25 +102,24 @@ void BM_NetServing(benchmark::State& state) {
   state.counters["p50_us"] = last.p50_us;
   state.counters["p95_us"] = last.p95_us;
   state.counters["p99_us"] = last.p99_us;
-  state.counters["shed"] = static_cast<double>(last.overloaded);
 }
 BENCHMARK(BM_NetServing)
     ->ArgNames({"conns", "batch"})
     ->ArgsProduct({{1, 4}, {0, 1}})
     ->Unit(benchmark::kMillisecond);
 
-// The v2 fast path: clients aggregate `cbatch` requests per send into batch
-// container frames (binary-encoded records, scatter-gather writes), and the
-// server answers each completed micro-batch with one container frame. Same
-// request count and counter keys as BM_NetServing, so the qps numbers are
-// directly comparable across the v1/v2 scenarios.
+// The batched fast path: clients send `cbatch` requests at a time through
+// SendBatch (binary-encoded records, pipelined frames in one scatter-gather
+// write), and the server flushes each dispatched micro-batch's replies
+// together. Same request count and counter keys as BM_NetServing, so the
+// qps numbers are directly comparable across the scenarios.
 void BM_NetServingBatchedClient(benchmark::State& state) {
   const int conns = static_cast<int>(state.range(0));
   const int cbatch = static_cast<int>(state.range(1));
   Fixture& f = SharedFixture();
 
   net::ServerConfig config;
-  // Dispatch fires the moment one full client container lands instead of
+  // Dispatch fires the moment one full client batch lands instead of
   // stalling on the delay timer waiting for a larger batch.
   config.max_batch = static_cast<size_t>(cbatch);
   config.max_delay_us = 200;
@@ -130,7 +129,7 @@ void BM_NetServingBatchedClient(benchmark::State& state) {
   net::LoadGenOptions options;
   options.connections = conns;
   options.requests_per_connection = kRequestsPerIteration / conns;
-  // Two batches in flight per connection, so the next container is already
+  // Two batches in flight per connection, so the next batch is already
   // queued while the server computes the previous one (no stop-and-wait).
   options.window = cbatch * 2;
   options.batch = cbatch;
@@ -154,7 +153,6 @@ void BM_NetServingBatchedClient(benchmark::State& state) {
   state.counters["p50_us"] = last.p50_us;
   state.counters["p95_us"] = last.p95_us;
   state.counters["p99_us"] = last.p99_us;
-  state.counters["shed"] = static_cast<double>(last.overloaded);
 }
 BENCHMARK(BM_NetServingBatchedClient)
     ->ArgNames({"conns", "cbatch"})
@@ -191,7 +189,7 @@ void BM_FrameRoundTrip(benchmark::State& state) {
 }
 BENCHMARK(BM_FrameRoundTrip);
 
-// Same round trip through the v2 binary record codec + zero-copy decode
+// Same round trip through the binary record codec + zero-copy decode
 // (NextView): the per-message tax of the batched fast path.
 void BM_FrameRoundTripBinary(benchmark::State& state) {
   Fixture& f = SharedFixture();

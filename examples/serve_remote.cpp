@@ -100,10 +100,9 @@ int main(int argc, char** argv) {
   std::printf("  throughput  %.0f predictions/s\n", report->qps);
   std::printf("  latency     p50 %.0f us, p95 %.0f us, p99 %.0f us\n",
               report->p50_us, report->p95_us, report->p99_us);
-  std::printf("  outcomes    %llu ok, %llu overloaded, %llu other errors\n",
+  std::printf("  outcomes    %llu ok, %llu errors\n",
               static_cast<unsigned long long>(report->ok),
-              static_cast<unsigned long long>(report->overloaded),
-              static_cast<unsigned long long>(report->other_errors));
+              static_cast<unsigned long long>(report->errors));
 
   // 5. Graceful drain, then show the server-side accounting.
   server.Shutdown();
@@ -114,8 +113,7 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(stats.connections_accepted),
               static_cast<unsigned long long>(stats.responses_sent),
               static_cast<unsigned long long>(stats.batches_dispatched));
-  std::printf("  shed %llu (overload) + %llu (deadline), dropped %llu\n",
-              static_cast<unsigned long long>(stats.shed_overload),
+  std::printf("  shed %llu (deadline), dropped %llu\n",
               static_cast<unsigned long long>(stats.shed_deadline),
               static_cast<unsigned long long>(stats.dropped_disconnect));
   std::printf("  server-side latency p50 %.0f us, p99 %.0f us\n",

@@ -160,11 +160,12 @@ Result<std::vector<uint64_t>> PredictionClient::SendBatch(
   }
   std::vector<uint64_t> ids;
   ids.reserve(records.size());
-  // Encode every inner frame up front (header and payload as separate
-  // buffers), then ship runs of them wrapped in container frames with one
-  // scatter-gather write per run.
+  // Encode every frame up front (header and payload as separate buffers),
+  // then write them back to back with one scatter-gather write.
   std::vector<std::string> headers(records.size());
   std::vector<std::string> payloads(records.size());
+  std::vector<iovec> iov;
+  iov.reserve(2 * records.size());
   for (size_t i = 0; i < records.size(); ++i) {
     const uint64_t id = next_request_id_++;
     ids.push_back(id);
@@ -172,42 +173,10 @@ Result<std::vector<uint64_t>> PredictionClient::SendBatch(
     headers[i] =
         EncodeFrameHeader(kProtocolVersion, FrameType::kRequest, id,
                           static_cast<uint32_t>(payloads[i].size()));
+    iov.push_back({headers[i].data(), headers[i].size()});
+    iov.push_back({payloads[i].data(), payloads[i].size()});
   }
-  size_t i = 0;
-  while (i < records.size()) {
-    size_t inner_bytes = 0;
-    uint32_t count = 0;
-    size_t j = i;
-    while (j < records.size() && count < kMaxBatchFrames) {
-      const size_t next_bytes =
-          inner_bytes + kFrameHeaderBytes + payloads[j].size();
-      if (kBatchCountBytes + next_bytes > kMaxPayloadBytes) break;
-      inner_bytes = next_bytes;
-      ++count;
-      ++j;
-    }
-    if (count == 0) {
-      // One record too large for any container: send it as a v1 frame.
-      std::vector<iovec> iov(2);
-      iov[0] = {headers[i].data(), headers[i].size()};
-      iov[1] = {payloads[i].data(), payloads[i].size()};
-      QPP_RETURN_NOT_OK(WriteVecAll(&iov));
-      ++i;
-      continue;
-    }
-    std::string batch_header = EncodeBatchHeader(count, inner_bytes);
-    std::vector<iovec> iov;
-    iov.reserve(1 + 2 * (j - i));
-    iov.push_back({batch_header.data(), batch_header.size()});
-    for (size_t k = i; k < j; ++k) {
-      iov.push_back({headers[k].data(), headers[k].size()});
-      if (!payloads[k].empty()) {
-        iov.push_back({payloads[k].data(), payloads[k].size()});
-      }
-    }
-    QPP_RETURN_NOT_OK(WriteVecAll(&iov));
-    i = j;
-  }
+  QPP_RETURN_NOT_OK(WriteVecAll(&iov));
   return ids;
 }
 
@@ -233,9 +202,8 @@ Result<ClientReply> PredictionClient::Receive() {
           std::string("unexpected ") + FrameTypeName(frame->type) +
           " frame from server");
     }
-    // Size the read to what the decoder knows is still missing, so a
-    // batched (multi-KiB) response arrives in one or two reads instead of
-    // fixed 4 KiB slices.
+    // Size the read to what the decoder knows is still missing, so a large
+    // frame arrives in one or two reads instead of fixed 4 KiB slices.
     const size_t hint = std::clamp(decoder_.PendingFrameBytes(),
                                    kMinReadBytes, kMaxReadBytes);
     if (rbuf_.size() < hint) rbuf_.resize(hint);
@@ -283,9 +251,7 @@ Result<LoadGenReport> RunLoadGenerator(const std::string& host, uint16_t port,
   struct WorkerResult {
     Status status = Status::OK();
     uint64_t ok = 0;
-    uint64_t overloaded = 0;
-    uint64_t deadline_exceeded = 0;
-    uint64_t other_errors = 0;
+    uint64_t errors = 0;
     std::vector<double> latencies_us;
   };
   std::vector<WorkerResult> results(static_cast<size_t>(options.connections));
@@ -328,12 +294,7 @@ Result<LoadGenReport> RunLoadGenerator(const std::string& host, uint16_t port,
                 1e3);
           }
           ++received;
-          switch (reply->error) {
-            case ErrorCode::kNone: ++res.ok; break;
-            case ErrorCode::kOverloaded: ++res.overloaded; break;
-            case ErrorCode::kDeadlineExceeded: ++res.deadline_exceeded; break;
-            default: ++res.other_errors;
-          }
+          ++(reply->error == ErrorCode::kNone ? res.ok : res.errors);
           return true;
         };
         std::vector<const QueryRecord*> chunk;
@@ -345,7 +306,7 @@ Result<LoadGenReport> RunLoadGenerator(const std::string& host, uint16_t port,
               const QueryRecord& record = workload.queries[next];
               next = (next + 1) % workload.queries.size();
               sent_at.push_back(Clock::now());
-              auto id = client.Send(record, options.deadline_us);
+              auto id = client.Send(record);
               if (!id.ok()) {
                 res.status = id.status();
                 return;
@@ -365,7 +326,7 @@ Result<LoadGenReport> RunLoadGenerator(const std::string& host, uint16_t port,
               next = (next + 1) % workload.queries.size();
               sent_at.push_back(Clock::now());
             }
-            auto ids = client.SendBatch(chunk, options.deadline_us);
+            auto ids = client.SendBatch(chunk);
             if (!ids.ok()) {
               res.status = ids.status();
               return;
@@ -389,9 +350,7 @@ Result<LoadGenReport> RunLoadGenerator(const std::string& host, uint16_t port,
   for (const auto& res : results) {
     QPP_RETURN_NOT_OK(res.status);
     report.ok += res.ok;
-    report.overloaded += res.overloaded;
-    report.deadline_exceeded += res.deadline_exceeded;
-    report.other_errors += res.other_errors;
+    report.errors += res.errors;
     all_latencies.insert(all_latencies.end(), res.latencies_us.begin(),
                          res.latencies_us.end());
   }

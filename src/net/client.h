@@ -15,7 +15,7 @@ namespace qpp::net {
 /// One reply from the server, success or typed failure. Transport and
 /// protocol problems (connection refused, garbage frames, EOF mid-frame)
 /// surface as non-OK Result instead; `error != kNone` means the server
-/// itself declined the request (overload, no model, deadline, draining).
+/// itself declined the request (no model, deadline, draining, bad request).
 struct ClientReply {
   uint64_t request_id = 0;
   ErrorCode error = ErrorCode::kNone;
@@ -42,10 +42,9 @@ void SetClientIoHooksForTest(ClientIoHooks hooks);
 ///   - Pipelined: Send() any number of requests, then Receive() replies in
 ///     order; the server preserves per-connection FIFO only for requests in
 ///     the same batch, so match replies to requests by request_id.
-///   - Batched: SendBatch() ships N requests in one v2 container frame
-///     (binary-encoded records, scatter-gather write — one syscall), and
-///     the server answers batch-capable peers with container frames too;
-///     Receive() unpacks them transparently.
+///   - Batched: SendBatch() pipelines N requests as N frames written by
+///     one scatter-gather write (binary-encoded records); Receive() takes
+///     their replies one frame at a time, like any pipelined ones.
 ///
 /// Not thread-safe: one PredictionClient per thread.
 class PredictionClient {
@@ -68,15 +67,14 @@ class PredictionClient {
   /// Sends one request without waiting; returns its request_id.
   Result<uint64_t> Send(const QueryRecord& record, uint32_t deadline_us = 0);
 
-  /// Sends every record as one (or, past the container caps, a few) v2
-  /// batch container frame(s) without waiting; returns the request_ids in
+  /// Sends every record as its own request frame, all of them written by
+  /// one scatter-gather write, without waiting; returns the request_ids in
   /// record order. Records travel in the compact binary encoding.
   Result<std::vector<uint64_t>> SendBatch(
       const std::vector<const QueryRecord*>& records,
       uint32_t deadline_us = 0);
 
-  /// Blocks for the next reply (any request_id); batched response
-  /// containers are unpacked in order.
+  /// Blocks for the next reply (any request_id).
   Result<ClientReply> Receive();
 
  private:
@@ -88,33 +86,30 @@ class PredictionClient {
   int fd_ = -1;
   uint64_t next_request_id_ = 1;
   FrameDecoder decoder_;
-  /// Receive buffer, grown to the decoder's pending-frame hint so batched
-  /// (multi-KiB) responses arrive in a few reads instead of 4 KiB slices.
+  /// Receive buffer, grown to the decoder's pending-frame hint so a large
+  /// frame arrives in a few reads instead of 4 KiB slices.
   std::vector<char> rbuf_;
 };
 
 /// Connection-pooling load generator: `connections` threads each open one
 /// PredictionClient and push `requests_per_connection` pipelined requests
-/// (window-bounded) drawn round-robin from `workload`.
+/// (window-bounded, no deadline) drawn round-robin from `workload`.
 struct LoadGenOptions {
   int connections = 1;
   int requests_per_connection = 100;
   /// Max unacknowledged requests per connection before reading a reply.
   int window = 16;
-  /// Requests per send: 1 sends classic v1 frames; > 1 sends whole batches
-  /// of min(batch, window, requests left) as v2 containers through
+  /// Requests per send: 1 sends text frames one at a time through Send; > 1
+  /// sends whole batches of min(batch, window, requests left) through
   /// SendBatch, each once it fits in the window.
   int batch = 1;
-  uint32_t deadline_us = 0;
 };
 
 struct LoadGenReport {
   uint64_t sent = 0;
   uint64_t ok = 0;
-  /// Typed server-side failures, by ErrorCode bucket.
-  uint64_t overloaded = 0;
-  uint64_t deadline_exceeded = 0;
-  uint64_t other_errors = 0;
+  /// Typed server-side failures of any kind.
+  uint64_t errors = 0;
   double wall_ms = 0.0;
   double qps = 0.0;
   /// Client-observed send -> reply latency quantiles, microseconds.

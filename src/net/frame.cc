@@ -47,7 +47,7 @@ uint64_t ReadU64(const char* p) {
   return v;
 }
 
-bool KnownSingleFrameType(uint8_t t) {
+bool KnownFrameType(uint8_t t) {
   return t == static_cast<uint8_t>(FrameType::kRequest) ||
          t == static_cast<uint8_t>(FrameType::kResponse) ||
          t == static_cast<uint8_t>(FrameType::kError);
@@ -72,7 +72,6 @@ const char* FrameTypeName(FrameType t) {
     case FrameType::kRequest: return "request";
     case FrameType::kResponse: return "response";
     case FrameType::kError: return "error";
-    case FrameType::kBatch: return "batch";
   }
   return "unknown";
 }
@@ -92,20 +91,10 @@ std::string EncodeFrameHeader(uint8_t version, FrameType type,
 
 std::string EncodeFrame(const Frame& frame) {
   if (frame.payload.size() > kMaxPayloadBytes) return std::string();
-  std::string out = EncodeFrameHeader(frame.version, frame.type,
+  std::string out = EncodeFrameHeader(kProtocolVersion, frame.type,
                                       frame.request_id,
                                       static_cast<uint32_t>(frame.payload.size()));
   out += frame.payload;
-  return out;
-}
-
-std::string EncodeBatchHeader(uint32_t count, size_t inner_bytes) {
-  if (count == 0 || count > kMaxBatchFrames) return std::string();
-  const size_t payload_len = kBatchCountBytes + inner_bytes;
-  if (payload_len > kMaxPayloadBytes) return std::string();
-  std::string out = EncodeFrameHeader(kProtocolVersionBatch, FrameType::kBatch,
-                                      0, static_cast<uint32_t>(payload_len));
-  AppendU32(&out, count);
   return out;
 }
 
@@ -218,17 +207,12 @@ Status FrameDecoder::ParseReady() {
       return Status::InvalidArgument("bad frame magic 0x" + HexU32(magic));
     }
     const uint8_t version = static_cast<uint8_t>(h[4]);
-    if (version != kProtocolVersion && version != kProtocolVersionBatch) {
+    if (version != kProtocolVersion) {
       return Status::InvalidArgument("unsupported protocol version " +
                                      std::to_string(version));
     }
     const uint8_t type = static_cast<uint8_t>(h[5]);
-    if (version == kProtocolVersionBatch) {
-      if (type != static_cast<uint8_t>(FrameType::kBatch)) {
-        return Status::InvalidArgument(
-            "protocol v2 frame with non-batch type " + std::to_string(type));
-      }
-    } else if (!KnownSingleFrameType(type)) {
+    if (!KnownFrameType(type)) {
       return Status::InvalidArgument("unknown frame type " +
                                      std::to_string(type));
     }
@@ -244,106 +228,18 @@ Status FrameDecoder::ParseReady() {
     if (buffer_.size() - scan_ < kFrameHeaderBytes + payload_len) {
       break;  // header valid; wait for the rest of the payload
     }
-    if (version == kProtocolVersionBatch) {
-      QPP_RETURN_NOT_OK(UnpackBatch(scan_, payload_len));
-    } else {
-      ReadyFrame frame;
-      frame.version = version;
-      frame.type = static_cast<FrameType>(type);
-      frame.request_id = ReadU64(h + 8);
-      frame.begin = scan_;
-      frame.payload_off = scan_ + kFrameHeaderBytes;
-      frame.payload_len = payload_len;
-      // ready_ growth is bounded by Feed, which rejects input once buffer_
-      // would exceed the decoder cap -- bytes are checked before they enter.
-      // qpp-lint: allow(unbounded-member-push): kMaxDecoderBufferBytes cap
-      ready_.push_back(frame);
-    }
-    scan_ += kFrameHeaderBytes + payload_len;
-  }
-  return Status::OK();
-}
-
-Status FrameDecoder::UnpackBatch(size_t begin, uint32_t payload_len) {
-  if (payload_len < kBatchCountBytes) {
-    return Status::InvalidArgument("batch container shorter than count field");
-  }
-  const char* p = buffer_.data() + begin + kFrameHeaderBytes;
-  const uint32_t count = ReadU32(p);
-  if (count == 0) {
-    return Status::InvalidArgument("batch container with zero inner frames");
-  }
-  if (count > kMaxBatchFrames) {
-    return Status::InvalidArgument(
-        "batch container count " + std::to_string(count) + " exceeds limit " +
-        std::to_string(kMaxBatchFrames));
-  }
-  // Walk the inner frames strictly within the container's extent. The
-  // container is atomic: inner frames are staged locally and published only
-  // once the whole container validates, so a violation at inner frame i
-  // never leaks frames 0..i-1 to the caller.
-  std::vector<ReadyFrame> staged;
-  staged.reserve(count);
-  size_t off = begin + kFrameHeaderBytes + kBatchCountBytes;
-  const size_t end = begin + kFrameHeaderBytes + payload_len;
-  for (uint32_t i = 0; i < count; ++i) {
-    if (end - off < kFrameHeaderBytes) {
-      return Status::InvalidArgument(
-          "batch container truncated at inner frame " + std::to_string(i));
-    }
-    const char* h = buffer_.data() + off;
-    const uint32_t magic = ReadU32(h);
-    if (magic != kFrameMagic) {
-      return Status::InvalidArgument("bad inner frame magic 0x" +
-                                     HexU32(magic) + " at inner frame " +
-                                     std::to_string(i));
-    }
-    const uint8_t version = static_cast<uint8_t>(h[4]);
-    if (version != kProtocolVersion) {
-      // Containers never nest; an inner v2 byte is corruption, not recursion.
-      return Status::InvalidArgument(
-          "batch container inner frame " + std::to_string(i) +
-          " has unsupported version " + std::to_string(version));
-    }
-    const uint8_t type = static_cast<uint8_t>(h[5]);
-    if (!KnownSingleFrameType(type)) {
-      return Status::InvalidArgument("unknown frame type " +
-                                     std::to_string(type) +
-                                     " at inner frame " + std::to_string(i));
-    }
-    if (ReadU16(h + 6) != 0) {
-      return Status::InvalidArgument(
-          "nonzero reserved header bits at inner frame " + std::to_string(i));
-    }
-    const uint32_t inner_len = ReadU32(h + 16);
-    if (inner_len > kMaxPayloadBytes) {
-      return Status::InvalidArgument(
-          "frame payload length " + std::to_string(inner_len) +
-          " exceeds limit " + std::to_string(kMaxPayloadBytes) +
-          " at inner frame " + std::to_string(i));
-    }
-    if (end - off - kFrameHeaderBytes < inner_len) {
-      return Status::InvalidArgument(
-          "batch container truncated at inner frame " + std::to_string(i));
-    }
     ReadyFrame frame;
-    frame.version = version;
     frame.type = static_cast<FrameType>(type);
     frame.request_id = ReadU64(h + 8);
-    frame.from_batch = true;
-    frame.begin = off;
-    frame.payload_off = off + kFrameHeaderBytes;
-    frame.payload_len = inner_len;
-    staged.push_back(frame);
-    off += kFrameHeaderBytes + inner_len;
+    frame.begin = scan_;
+    frame.payload_off = scan_ + kFrameHeaderBytes;
+    frame.payload_len = payload_len;
+    // ready_ growth is bounded by Feed, which rejects input once buffer_
+    // would exceed the decoder cap -- bytes are checked before they enter.
+    // qpp-lint: allow(unbounded-member-push): kMaxDecoderBufferBytes cap
+    ready_.push_back(frame);
+    scan_ += kFrameHeaderBytes + payload_len;
   }
-  if (off != end) {
-    return Status::InvalidArgument(
-        "batch container size mismatch: " + std::to_string(end - off) +
-        " trailing bytes after " + std::to_string(count) + " inner frames");
-  }
-  // qpp-lint: allow(unbounded-member-push): bounded by kMaxDecoderBufferBytes
-  ready_.insert(ready_.end(), staged.begin(), staged.end());
   return Status::OK();
 }
 
@@ -352,10 +248,8 @@ std::optional<FrameView> FrameDecoder::NextView() {
   const ReadyFrame rf = ready_.front();
   ready_.pop_front();
   FrameView view;
-  view.version = rf.version;
   view.type = rf.type;
   view.request_id = rf.request_id;
-  view.from_batch = rf.from_batch;
   view.payload =
       std::string_view(buffer_.data() + rf.payload_off, rf.payload_len);
   return view;
@@ -365,7 +259,6 @@ std::optional<Frame> FrameDecoder::Next() {
   std::optional<FrameView> view = NextView();
   if (!view) return std::nullopt;
   Frame f;
-  f.version = view->version;
   f.type = view->type;
   f.request_id = view->request_id;
   f.payload.assign(view->payload.data(), view->payload.size());

@@ -20,31 +20,22 @@ namespace qpp::net {
 ///
 ///   offset  size  field
 ///   0       4     magic        0x51505057 ("QPPW")
-///   4       1     version      1 (single frame) or 2 (batch container)
+///   4       1     version      1 (kProtocolVersion)
 ///   5       1     type         FrameType
 ///   6       2     reserved     must be 0
-///   8       8     request_id   echoed verbatim in the response (0 for
-///                              batch containers, whose inner frames carry
-///                              their own ids)
+///   8       8     request_id   echoed verbatim in the response
 ///   16      4     payload_len  <= kMaxPayloadBytes
 ///
-/// Protocol v2 adds exactly one frame shape: the **batch container**
-/// (version 2, type kBatch), whose payload is a u32 inner-frame count
-/// followed by that many complete v1 frames concatenated verbatim. One
-/// container moves a whole pipelined batch through one syscall on each
-/// side; v1 single frames remain fully supported, and the two may
-/// interleave freely on one connection. Containers never nest.
+/// A batch is N frames written back to back (pipelining); each request is
+/// answered by its own frame.
 ///
 /// Decoding is strict: bad magic, an unsupported version, nonzero reserved
-/// bits, an unknown type, an oversized length prefix, or a malformed
-/// container (count mismatch, truncated or nested inner frame) poison the
-/// decoder with a typed error — the server answers with kBadRequest and
-/// closes the connection rather than resynchronizing on a corrupt stream.
+/// bits, an unknown type or an oversized length prefix poison the decoder
+/// with a typed error — the server answers with kBadRequest and closes the
+/// connection rather than resynchronizing on a corrupt stream.
 
 inline constexpr uint32_t kFrameMagic = 0x51505057u;  // "QPPW"
 inline constexpr uint8_t kProtocolVersion = 1;
-/// Version byte of the v2 batch container frame.
-inline constexpr uint8_t kProtocolVersionBatch = 2;
 inline constexpr size_t kFrameHeaderBytes = 20;
 /// Upper bound on one frame's payload; a length prefix above this (which
 /// includes any "negative" 32-bit value reinterpreted as unsigned) is a
@@ -53,11 +44,6 @@ inline constexpr uint32_t kMaxPayloadBytes = 1u << 20;
 /// Upper bound on bytes buffered inside one FrameDecoder (pipelined frames
 /// awaiting Next()); Feed fails beyond it instead of growing unboundedly.
 inline constexpr size_t kMaxDecoderBufferBytes = 8u << 20;
-/// Size of a batch container's inner-frame count field.
-inline constexpr size_t kBatchCountBytes = 4;
-/// Upper bound on inner frames per batch container (sanity bound well above
-/// any server batch; the 1 MiB payload cap binds first for real requests).
-inline constexpr uint32_t kMaxBatchFrames = 4096;
 /// Longest error message EncodeErrorPayload can carry; anything longer is
 /// truncated *visibly* (kErrorTruncationMark suffix within the cap).
 inline constexpr size_t kMaxErrorMessageBytes = kMaxPayloadBytes - 2;
@@ -72,8 +58,6 @@ enum class FrameType : uint8_t {
   kResponse = 2,
   /// Server -> client: a typed failure (EncodeErrorPayload).
   kError = 3,
-  /// Either direction, version 2 only: a container of v1 frames.
-  kBatch = 4,
 };
 const char* FrameTypeName(FrameType t);
 
@@ -85,7 +69,8 @@ enum class ErrorCode : uint16_t {
   kBadRequest = 1,
   /// No model published in the registry yet.
   kNoModel = 2,
-  /// Load shed: a per-connection or global queue bound was hit.
+  /// Reserved: the server sheds nothing on admission (its micro-batch,
+  /// bounded by kMaxBatch, is its only queue), so nothing sends it.
   kOverloaded = 3,
   /// The request's deadline expired before dispatch.
   kDeadlineExceeded = 4,
@@ -96,7 +81,6 @@ enum class ErrorCode : uint16_t {
 };
 
 struct Frame {
-  uint8_t version = kProtocolVersion;
   FrameType type = FrameType::kRequest;
   uint64_t request_id = 0;
   std::string payload;
@@ -107,13 +91,9 @@ struct Frame {
 /// next Feed() on the decoder that produced it (Feed may compact or grow
 /// the buffer); consume or copy before feeding more bytes.
 struct FrameView {
-  uint8_t version = kProtocolVersion;
   FrameType type = FrameType::kRequest;
   uint64_t request_id = 0;
   std::string_view payload;
-  /// True when this frame was unpacked from a v2 batch container (the peer
-  /// speaks v2 — replies may be batched).
-  bool from_batch = false;
 };
 
 /// Serializes header + payload. The frame's payload must not exceed
@@ -127,13 +107,6 @@ std::string EncodeFrame(const Frame& frame);
 /// buffers and writev stitches them on the wire.
 std::string EncodeFrameHeader(uint8_t version, FrameType type,
                               uint64_t request_id, uint32_t payload_len);
-
-/// Serializes the v2 batch container prefix (20-byte header + u32 count)
-/// for `count` inner frames totalling `inner_bytes` bytes. Returns an
-/// empty string when the container would violate the protocol (count 0,
-/// count > kMaxBatchFrames, or payload over kMaxPayloadBytes) — callers
-/// chunk their batches below the caps.
-std::string EncodeBatchHeader(uint32_t count, size_t inner_bytes);
 
 /// Request payload: u32 deadline_us (0 = none) + the QueryRecord in the
 /// query-log text format (SerializeQueryRecord).
@@ -177,10 +150,6 @@ Result<ErrorPayload> DecodeErrorPayload(std::string_view payload);
 /// decoder: every later Feed returns the same error, so a connection can
 /// never resume on a corrupt stream.
 ///
-/// v2 batch containers are unpacked transparently: Next()/NextView() yield
-/// the inner frames in order (flagged `from_batch`), so callers handle a
-/// v1 stream, a v2 stream, or an interleaved one identically.
-///
 /// Decoding is zero-copy: frames are parsed in place over an
 /// offset-windowed buffer. The consumed prefix is dropped only when it is
 /// both large and at least half the buffer, so every retained byte moves
@@ -209,7 +178,7 @@ class FrameDecoder {
 
   /// Bytes still missing to complete the partially-buffered frame at the
   /// head of the stream (0 when unknown or nothing is pending). Callers
-  /// size their next read with this, so a 1 MiB container arrives in a few
+  /// size their next read with this, so a 1 MiB frame arrives in a few
   /// large reads instead of hundreds of fixed-size ones.
   size_t PendingFrameBytes() const;
 
@@ -220,17 +189,14 @@ class FrameDecoder {
  private:
   /// A parsed frame described by offsets into buffer_.
   struct ReadyFrame {
-    uint8_t version = kProtocolVersion;
     FrameType type = FrameType::kRequest;
     uint64_t request_id = 0;
-    bool from_batch = false;
     size_t begin = 0;        // offset of this frame's header
     size_t payload_off = 0;  // offset of this frame's payload
     uint32_t payload_len = 0;
   };
 
   Status ParseReady();
-  Status UnpackBatch(size_t begin, uint32_t payload_len);
   /// Offset below which no queued frame or unparsed byte lives.
   size_t ReleasedPrefix() const {
     return ready_.empty() ? scan_ : ready_.front().begin;

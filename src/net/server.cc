@@ -9,6 +9,7 @@
 #include <sys/uio.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <deque>
@@ -32,8 +33,8 @@ ErrorCode CodeFromStatus(const Status& st) {
 /// stack and the bytes one sendmsg can pin.
 constexpr int kMaxFlushIov = 64;
 
-/// Reactor read buffer: large enough that a full batch container
-/// usually arrives in one or two reads.
+/// Reactor read buffer: large enough that a pipelined batch usually
+/// arrives in one or two reads.
 constexpr size_t kReadBufferBytes = 64 * 1024;
 
 }  // namespace
@@ -53,8 +54,6 @@ struct PredictionServer::Connection {
   size_t outbox_bytes = 0;
   /// Requests admitted from this connection and not yet answered.
   size_t pending = 0;
-  /// This peer has sent a v2 batch container — replies may be batched.
-  bool peer_batch = false;
   /// EPOLLOUT currently registered (outbox hit EAGAIN).
   bool want_write = false;
   /// Reads suspended: outbox over the backpressure bound, protocol
@@ -141,6 +140,11 @@ void PredictionServer::CloseFds() {
 }
 
 Status PredictionServer::Start() {
+  if (config_.max_batch > kMaxBatch) {
+    return Status::InvalidArgument(
+        "max_batch " + std::to_string(config_.max_batch) + " exceeds " +
+        std::to_string(kMaxBatch));
+  }
   // One-shot start guard: acq_rel pairs the winning exchange with any
   // later observer; cold path, so no need to shave the fence.
   if (started_.exchange(true, std::memory_order_acq_rel)) {
@@ -354,10 +358,6 @@ void PredictionServer::HandleReadable(Connection* conn) {
 }
 
 void PredictionServer::HandleFrame(Connection* conn, const FrameView& frame) {
-  if (frame.from_batch && !conn->peer_batch) {
-    // The peer speaks v2: batch its replies from now on.
-    conn->peer_batch = true;
-  }
   if (frame.type != FrameType::kRequest) {
     frame_errors_.fetch_add(1, std::memory_order_relaxed);
     QueueError(conn, frame.request_id, ErrorCode::kBadRequest,
@@ -381,17 +381,6 @@ void PredictionServer::HandleFrame(Connection* conn, const FrameView& frame) {
                "server is draining");
     return;
   }
-  const size_t global = batch_.size();
-  if (conn->pending >= config_.max_pending_per_conn ||
-      global >= config_.max_queue) {
-    shed_overload_.fetch_add(1, std::memory_order_relaxed);
-    shed_counter_->Increment();
-    QueueError(conn, frame.request_id, ErrorCode::kOverloaded,
-               "queue full: " + std::to_string(conn->pending) +
-                   " pending on connection, " + std::to_string(global) +
-                   " global");
-    return;
-  }
   Pending p;
   p.fd = conn->fd;
   p.conn_gen = conn->gen;
@@ -401,7 +390,9 @@ void PredictionServer::HandleFrame(Connection* conn, const FrameView& frame) {
   p.deadline = req->deadline_us != 0
                    ? p.enqueued + std::chrono::microseconds(req->deadline_us)
                    : Clock::time_point::max();
-  // Admission checked right above: batch can never exceed max_queue.
+  // The batch dispatches once it holds max_batch requests, which Start
+  // bounds.
+  // qpp-lint: allow(unbounded-member-push): max_batch <= kMaxBatch
   batch_.push_back(std::move(p));
   ++conn->pending;
   requests_received_.fetch_add(1, std::memory_order_relaxed);
@@ -411,8 +402,7 @@ void PredictionServer::HandleFrame(Connection* conn, const FrameView& frame) {
 void PredictionServer::AppendChunk(Connection* conn, std::string bytes) {
   if (bytes.empty()) return;
   conn->outbox_bytes += bytes.size();
-  // Growth pauses reads at max_outbox_bytes (TCP backpressure), and every
-  // queued byte was admitted under the pending caps.
+  // Growth pauses reads at max_outbox_bytes (TCP backpressure).
   // qpp-lint: allow(unbounded-member-push): max_outbox_bytes read pause
   conn->outbox.push_back(std::move(bytes));
 }
@@ -438,41 +428,6 @@ void PredictionServer::QueueError(Connection* conn, uint64_t request_id,
                                   ErrorCode code, const std::string& message) {
   QueueReply(conn, request_id, EncodeErrorPayload(code, message),
              /*is_error=*/true);
-}
-
-void PredictionServer::QueueBatchedReplies(Connection* conn,
-                                           const std::vector<Reply*>& group) {
-  // Wrap runs of replies into v2 containers, splitting below the
-  // payload/count caps; an inner frame that alone would blow the container
-  // cap goes out as a plain v1 frame (legal interleave).
-  size_t i = 0;
-  while (i < group.size()) {
-    size_t inner_bytes = 0;
-    uint32_t count = 0;
-    size_t j = i;
-    while (j < group.size() && count < kMaxBatchFrames) {
-      const size_t next_bytes =
-          inner_bytes + kFrameHeaderBytes + group[j]->payload.size();
-      if (kBatchCountBytes + next_bytes > kMaxPayloadBytes) break;
-      inner_bytes = next_bytes;
-      ++count;
-      ++j;
-    }
-    if (count <= 1) {
-      // One frame (or one too big for a container): no batching win, send
-      // unwrapped.
-      AppendChunk(conn, std::move(group[i]->header));
-      AppendChunk(conn, std::move(group[i]->payload));
-      ++i;
-      continue;
-    }
-    AppendChunk(conn, EncodeBatchHeader(count, inner_bytes));
-    for (size_t k = i; k < j; ++k) {
-      AppendChunk(conn, std::move(group[k]->header));
-      AppendChunk(conn, std::move(group[k]->payload));
-    }
-    i = j;
-  }
 }
 
 void PredictionServer::HandleWritable(Connection* conn) {
@@ -625,10 +580,7 @@ PredictionServer::Reply PredictionServer::MakeError(
 }
 
 void PredictionServer::DeliverReplies(std::vector<Reply>* replies) {
-  // Group replies per connection (preserving order) so a v2 peer gets one
-  // container per batch instead of N separate frames.
-  std::map<Connection*, std::vector<Reply*>> grouped;
-  std::vector<Connection*> order;
+  std::vector<Connection*> touched;
   for (Reply& r : *replies) {
     auto it = conns_.find(r.fd);
     if (it == conns_.end() || it->second->dead ||
@@ -640,20 +592,13 @@ void PredictionServer::DeliverReplies(std::vector<Reply>* replies) {
     if (conn->pending > 0) --conn->pending;
     (r.is_error ? errors_sent_ : responses_sent_)
         .fetch_add(1, std::memory_order_relaxed);
-    auto& vec = grouped[conn];
-    if (vec.empty()) order.push_back(conn);
-    vec.push_back(&r);
-  }
-  for (Connection* conn : order) {
-    const auto& group = grouped[conn];
-    if (conn->peer_batch) {
-      QueueBatchedReplies(conn, group);
-    } else {
-      for (Reply* r : group) {
-        AppendChunk(conn, std::move(r->header));
-        AppendChunk(conn, std::move(r->payload));
-      }
+    AppendChunk(conn, std::move(r.header));
+    AppendChunk(conn, std::move(r.payload));
+    if (std::find(touched.begin(), touched.end(), conn) == touched.end()) {
+      touched.push_back(conn);
     }
+  }
+  for (Connection* conn : touched) {
     FlushOutbox(conn);
     if (conn->outbox_bytes > config_.max_outbox_bytes && !conn->read_paused) {
       conn->read_paused = true;
@@ -692,7 +637,6 @@ ServerStats PredictionServer::Stats() const {
   s.requests_received = requests_received_.load(std::memory_order_relaxed);
   s.responses_sent = responses_sent_.load(std::memory_order_relaxed);
   s.errors_sent = errors_sent_.load(std::memory_order_relaxed);
-  s.shed_overload = shed_overload_.load(std::memory_order_relaxed);
   s.shed_deadline = shed_deadline_.load(std::memory_order_relaxed);
   s.frame_errors = frame_errors_.load(std::memory_order_relaxed);
   s.parse_errors = parse_errors_.load(std::memory_order_relaxed);

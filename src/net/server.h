@@ -17,6 +17,11 @@
 
 namespace qpp::net {
 
+/// Upper bound on ServerConfig::max_batch; Start refuses a larger one. The
+/// micro-batch is the server's only request queue, so this bounds the
+/// requests it holds.
+inline constexpr size_t kMaxBatch = 1024;
+
 struct ServerConfig {
   /// Numeric IPv4 address to bind (loopback by default — this is a
   /// prediction sidecar, not an internet-facing service).
@@ -25,17 +30,13 @@ struct ServerConfig {
   uint16_t port = 0;
   /// Accepted connections beyond this are rejected (accept-then-close).
   size_t max_connections = 64;
-  /// Micro-batcher: dispatch when this many requests are pending...
+  /// Micro-batcher: dispatch when this many requests are pending
+  /// (at most kMaxBatch)...
   size_t max_batch = 32;
   /// ...or when the oldest pending request has waited this long, whichever
   /// comes first. max_batch=1 disables batching (every request dispatches
   /// immediately; max_delay_us is then irrelevant).
   uint32_t max_delay_us = 200;
-  /// Backpressure: per-connection cap on admitted-but-unanswered requests;
-  /// beyond it the server sheds with kOverloaded.
-  size_t max_pending_per_conn = 128;
-  /// Global cap on admitted-but-unanswered requests across all connections.
-  size_t max_queue = 1024;
   /// When a connection's unsent response bytes exceed this, the server
   /// stops reading from it (TCP backpressure) until the outbox drains.
   size_t max_outbox_bytes = 1u << 20;
@@ -45,11 +46,13 @@ struct ServerConfig {
 struct ServerStats {
   uint64_t connections_accepted = 0;
   uint64_t connections_rejected = 0;
-  /// Requests admitted into the batcher (excludes shed / malformed ones).
+  /// Requests admitted into the batcher (excludes malformed ones and those
+  /// refused while draining).
   uint64_t requests_received = 0;
   uint64_t responses_sent = 0;
   uint64_t errors_sent = 0;
-  /// Requests refused with kOverloaded because a queue bound was hit.
+  /// Always 0: the server sheds nothing on admission. Kept because the
+  /// e2e benchmark reads it; it goes with the next benchmark change.
   uint64_t shed_overload = 0;
   /// Requests answered with kDeadlineExceeded because they expired queued.
   uint64_t shed_deadline = 0;
@@ -85,18 +88,17 @@ struct ServerStats {
 /// string_view frames over its own buffer, responses are queued as
 /// separate header/payload chunks, and the outbox flushes with
 /// scatter-gather sendmsg so header and payload bytes are never
-/// concatenated. Peers that send v2 batch containers get their replies
-/// batched the same way — one container frame per completed batch.
+/// concatenated. A client batches by pipelining: N request frames in one
+/// write, whose N reply frames a dispatch appends and flushes together.
 ///
-/// Backpressure is explicit and bounded everywhere: per-connection and
-/// global admission caps shed with typed kOverloaded errors, oversized
-/// outboxes pause reading from that peer, and the frame decoder's buffer is
-/// capped. A dispatched batch releases its admission slots at once, so
-/// with the default config the caps are never reached (each exceeds
-/// max_batch). Shutdown() drains gracefully: stop accepting, fail new
-/// requests with kShuttingDown, dispatch the partial batch, flush every
-/// outbox, then close — an admitted request is never dropped (except by
-/// its peer disconnecting).
+/// Backpressure is explicit and bounded everywhere: the micro-batch is the
+/// only request queue and dispatches at max_batch (at most kMaxBatch), so
+/// nothing is shed on admission; oversized outboxes pause reading from
+/// that peer, and the frame decoder's buffer is capped. Expired requests
+/// are answered kDeadlineExceeded at dispatch. Shutdown() drains
+/// gracefully: stop accepting, fail new requests with kShuttingDown,
+/// dispatch the partial batch, flush every outbox, then close — an
+/// admitted request is never dropped (except by its peer disconnecting).
 class PredictionServer {
  public:
   /// `service` must outlive the server.
@@ -108,7 +110,8 @@ class PredictionServer {
   PredictionServer& operator=(const PredictionServer&) = delete;
 
   /// Binds, listens and starts the reactor thread. Fails on bind/listen
-  /// errors (e.g. port in use) without leaking fds.
+  /// errors (e.g. port in use) and on max_batch > kMaxBatch without
+  /// leaking fds.
   Status Start();
 
   /// Graceful drain; idempotent; blocks until the reactor has exited.
@@ -137,8 +140,8 @@ class PredictionServer {
     std::chrono::steady_clock::time_point deadline;
   };
   /// One encoded reply of a dispatched batch. Header and payload stay
-  /// separate buffers so the outbox can scatter-gather them (and wrap them
-  /// in a batch container) without re-concatenating.
+  /// separate buffers so the outbox can scatter-gather them without
+  /// re-concatenating.
   struct Reply {
     int fd = -1;
     uint64_t conn_gen = 0;
@@ -162,18 +165,16 @@ class PredictionServer {
                   bool is_error);
   void QueueError(Connection* conn, uint64_t request_id, ErrorCode code,
                   const std::string& message);
-  /// Queues a group of replies for a v2 peer as batch container
-  /// frame(s), splitting at the payload/count caps.
-  void QueueBatchedReplies(Connection* conn, const std::vector<Reply*>& group);
   void FlushOutbox(Connection* conn);
   void UpdateWriteInterest(Connection* conn, bool want_write);
   /// Closes a half-dead connection (protocol violation or peer EOF) once
   /// every admitted request is answered and the outbox is flushed.
   void MaybeCloseQuiesced(Connection* conn);
   /// Predicts the micro-batch on the reactor and queues every reply on
-  /// its live (fd, gen) connection, v2 peers' replies in containers.
+  /// its live (fd, gen) connection.
   void DispatchBatch();
-  /// Queues one dispatched batch's replies, grouped per connection.
+  /// Queues one dispatched batch's replies in batch order, then flushes
+  /// each connection they went to once.
   void DeliverReplies(std::vector<Reply>* replies);
   static Reply MakeResponse(const Pending& p,
                             const serve::PredictionService::Prediction& pred);
@@ -216,7 +217,6 @@ class PredictionServer {
   std::atomic<uint64_t> requests_received_{0};
   std::atomic<uint64_t> responses_sent_{0};
   std::atomic<uint64_t> errors_sent_{0};
-  std::atomic<uint64_t> shed_overload_{0};
   std::atomic<uint64_t> shed_deadline_{0};
   std::atomic<uint64_t> frame_errors_{0};
   std::atomic<uint64_t> parse_errors_{0};

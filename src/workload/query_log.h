@@ -96,8 +96,8 @@ std::string SerializeQueryRecord(const QueryRecord& record);
 Result<QueryRecord> ParseQueryRecord(std::string_view text,
                                      const std::string& source_name);
 
-/// \brief Compact binary encoding of one QueryRecord — the fast-path wire
-/// payload of the v2 network protocol (src/net/frame.h).
+/// \brief Compact binary encoding of one QueryRecord — the request payload
+/// that batched network clients send (src/net/frame.h).
 ///
 /// Field-for-field equivalent to the text format (the same fields
 /// round-trip; structural keys are recomputed on parse, and the executor's
