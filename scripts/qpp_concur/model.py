@@ -12,7 +12,8 @@ structure the four passes need:
     ends, split at explicit .unlock()/.lock()) and call sites,
   * heuristic call resolution: `Class::Method` explicitly, bare calls to
     the enclosing class, member receivers through the member-type table,
-    and otherwise only if the callee name is unique program-wide.
+    and otherwise only if the callee name is unique program-wide (always
+    so for a call on a call's result, `f().g()` or `f()->g()`).
 
 Known, documented limitations (see DESIGN.md):
   * lambdas are modelled as separate anonymous functions -- code inside
@@ -512,6 +513,23 @@ def _prev_nonspace(text: str, pos: int) -> str:
     return text[j] if j >= 0 else ""
 
 
+def _follows_call_result(text: str, pos: int) -> bool:
+    """True when the chain at `pos` continues `f().` or `f()->`: a member
+    call on the unnamed result of a call, whose type is unknown here."""
+    j = pos - 1
+    while j >= 0 and text[j] in " \t\n":
+        j -= 1
+    if j >= 0 and text[j] == ".":
+        j -= 1
+    elif j >= 1 and text[j - 1:j + 1] == "->":
+        j -= 2
+    else:
+        return False
+    while j >= 0 and text[j] in " \t\n":
+        j -= 1
+    return j >= 0 and text[j] == ")"
+
+
 def _prev_token(text: str, pos: int) -> str:
     j = pos - 1
     while j >= 0 and text[j] in " \t\n":
@@ -628,7 +646,12 @@ def analyze_function(prog: Program, fn: Function):
             continue
         if name in ("lock", "unlock"):
             continue  # handled as lock events, never calls into the model
-        if len(parts) == 1:
+        if _follows_call_result(text, m.start()):
+            # `inner().Get()` / `inner_ptr()->Get()`: mark the receiver as
+            # the unknown result "()" so resolution goes by unique name,
+            # never to the enclosing class's own `Get`.
+            chain = "()." + chain
+        elif len(parts) == 1:
             prev = _prev_nonspace(text, m.start())
             if prev and (prev.isalnum() or prev in "_>&*") and \
                     _prev_token(text, m.start()) not in CALL_OK_PREV_TOKENS:
@@ -646,6 +669,9 @@ def resolve_calls(prog: Program):
 def _resolve_call(prog: Program, fn: Function, call: CallSite):
     parts = [p for p in re.split(r"::|->|\.", call.chain) if p]
     name = call.name
+    # A member call on a call's result: the receiver type is unknown.
+    if parts[0] == "()":
+        return _unique_by_name(prog, name)
     # Explicit Class::Method.
     if "::" in call.chain and len(parts) >= 2:
         owner = prog.class_by_simple(parts[-2])

@@ -116,10 +116,7 @@ double OnlinePredictor::PredictQuery(const QueryRecord& query,
     *out = PlanModelTimePrediction(*cached->second, query, op_index, mode);
     return true;
   };
-  // A typed local: qpp_concur resolves `operators_.operator_models()
-  // .PredictQuery` to this function and reports a self-deadlock.
-  const OperatorModelSet& op_models = operators_.operator_models();
-  return op_models.PredictQuery(query, mode, override_fn);
+  return operators_.operator_models().PredictQuery(query, mode, override_fn);
 }
 
 }  // namespace qpp

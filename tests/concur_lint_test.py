@@ -170,6 +170,56 @@ class S {
             self.assertEqual([], lock_order.run(prog))
 
 
+# Member calls on a call's result: `inner().Get()` names Inner's Get, not
+# the enclosing Holder::Get, and `inner_ptr()->Peek()` is a call at all.
+CALL_ON_RESULT_TREE = {
+    "src/serve/holder.h": """
+#pragma once
+#include <mutex>
+class Inner {
+ public:
+  int Get() const { std::lock_guard<std::mutex> lk(mu_); return v_; }
+  int Peek() const { std::lock_guard<std::mutex> lk(mu_); return v_; }
+  mutable std::mutex mu_;
+  int v_ = 0;
+};
+class Holder {
+ public:
+  Inner& inner() { return inner_; }
+  Inner* inner_ptr() { return &inner_; }
+  int Get() {
+    std::lock_guard<std::mutex> lk(mu_);
+    return inner().Get();
+  }
+  int ViaPointer() {
+    std::lock_guard<std::mutex> lk(mu_);
+    return inner_ptr()->Peek();
+  }
+  std::mutex mu_;
+  Inner inner_;
+};
+""",
+}
+
+
+class CallOnResultTest(unittest.TestCase):
+    def test_dot_call_on_a_result_is_not_the_enclosing_method(self):
+        tmp, prog = build_tree(CALL_ON_RESULT_TREE)
+        with tmp:
+            # `Get` is not unique, so the call stays unresolved rather than
+            # binding to Holder::Get (a self-deadlock on Holder::mu_).
+            self.assertEqual([], lock_order.run(prog))
+
+    def test_arrow_call_on_a_result_resolves_by_unique_name(self):
+        tmp, prog = build_tree(CALL_ON_RESULT_TREE)
+        with tmp:
+            fn = next(f for f in prog.functions
+                      if f.qual == "Holder::ViaPointer")
+            targets = [t.qual for c in fn.calls if c.name == "Peek"
+                       for t in c.targets]
+        self.assertEqual(["Inner::Peek"], targets)
+
+
 # ---------------------------------------------------------------------------
 # Pass 2: transitive blocking-call-under-lock.
 
