@@ -547,8 +547,8 @@ void PredictionServer::DispatchBatch() {
     latency_hist_->Observe(us);
     instance_latency_hist_.Observe(us);
   }
-  // Clearing the batch releases every admission slot, whether or not the
-  // reply's connection is still there to receive it.
+  // Every request in the batch is answered now, whether or not its
+  // connection is still there to receive the reply.
   batch_.clear();
   DeliverReplies(&replies);
 }
